@@ -231,7 +231,7 @@ class TrafficMonitor:
         return self._merged_series(
             ((key, record[0]) for key, record in self._drop_stats.items()),
             kinds,
-            node,
+            (node,),
             t_end,
         )
 
@@ -241,21 +241,32 @@ class TrafficMonitor:
         self,
         binned: Iterable[Tuple[Tuple[str, int], Dict[int, int]]],
         kinds: Iterable[str],
-        node: int,
+        nodes: Iterable[int],
         t_end: Optional[float],
     ) -> List[int]:
-        """Shared merge+pad kernel behind every per-interval series."""
+        """Shared merge+pad kernel behind every per-interval series.
+
+        One pass over ``binned`` sums the records of every node in
+        ``nodes`` (a node listed twice counts twice).
+        """
         kinds = set(kinds)
+        times: Dict[int, int] = {}
+        for node in nodes:
+            times[node] = times.get(node, 0) + 1
         merged: Dict[int, int] = {}
         for (kind, n), bins in binned:
-            if n != node or kind not in kinds:
+            weight = times.get(n)
+            if weight is None or kind not in kinds:
                 continue
             for index, count in bins.items():
-                merged[index] = merged.get(index, 0) + count
+                merged[index] = merged.get(index, 0) + count * weight
         length = n_bins(t_end, self.bin_width) if t_end is not None else 0
         if merged:
             length = max(length, max(merged) + 1)
         return [merged.get(i, 0) for i in range(length)]
+
+    def _receive_bins(self) -> Iterator[Tuple[Tuple[str, int], Dict[int, int]]]:
+        return ((key, record[0]) for key, record in self._stats.items())
 
     def series(
         self,
@@ -268,12 +279,7 @@ class TrafficMonitor:
         The series starts at t=0 and is padded with zeros through ``t_end``
         (or through the last nonzero bin if ``t_end`` is None).
         """
-        return self._merged_series(
-            ((key, record[0]) for key, record in self._stats.items()),
-            kinds,
-            node,
-            t_end,
-        )
+        return self._merged_series(self._receive_bins(), kinds, (node,), t_end)
 
     def mean_series(
         self,
@@ -288,14 +294,9 @@ class TrafficMonitor:
         """
         if not nodes:
             return []
-        per_node = [self.series(kinds, node, t_end) for node in nodes]
-        length = max((len(s) for s in per_node), default=0)
-        result = []
         n = float(len(nodes))
-        for i in range(length):
-            total = sum(s[i] for s in per_node if i < len(s))
-            result.append(total / n)
-        return result
+        totals = self._merged_series(self._receive_bins(), kinds, nodes, t_end)
+        return [total / n for total in totals]
 
     def send_series(
         self,
@@ -309,7 +310,7 @@ class TrafficMonitor:
         for a sender-only protocol is dominated by what the source itself
         transmits; combine with :meth:`series` for the full picture.
         """
-        return self._merged_series(self._send_bins.items(), kinds, node, t_end)
+        return self._merged_series(self._send_bins.items(), kinds, (node,), t_end)
 
     def node_traffic_series(
         self,

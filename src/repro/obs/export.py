@@ -10,7 +10,9 @@ so a file is self-describing and replayable:
   snapshot.
 * **trace** — the manifest followed by one record per captured
   :class:`~repro.sim.trace.TraceRecord`, payloads summarized via
-  :func:`repro.obs.recorder.summarize_detail`.
+  :func:`repro.obs.recorder.summarize_detail`.  One multicast's receive
+  records all carry the same packet, so the writers encode a packet's
+  summary once and reuse it (:func:`_trace_line_formatter`).
 
 The manifest pins everything needed to regenerate the run: master seed,
 topology name, protocol/config summary, and the source git revision.
@@ -20,10 +22,11 @@ Loaders live in :mod:`repro.analysis.obsload`.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, TextIO
 
 from repro.obs.recorder import summarize_detail
 from repro.obs.registry import MetricsRegistry
@@ -31,6 +34,17 @@ from repro.sim.trace import TraceRecord
 
 #: Manifest/format identifier; bump on incompatible schema changes.
 FORMAT = "sharqfec.obs.v1"
+
+#: The one encoder behind every exported line.
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+
+#: Lines joined into one ``write`` call.
+_CHUNK_LINES = 4096
+
+#: Packet summaries a streaming writer keeps before it starts over.
+_MEMO_LIMIT = 4096
+
+_INF = float("inf")
 
 _git_rev_cache: Optional[str] = None
 
@@ -109,13 +123,25 @@ def build_manifest(
     return manifest
 
 
+def _create(path: str) -> TextIO:
+    """Open ``path`` for writing, making its directory first."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w")
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write newline-terminated ``lines`` to ``path``, a chunk per write."""
+    lines = iter(lines)
+    with _create(path) as handle:
+        while True:
+            chunk = "".join(itertools.islice(lines, _CHUNK_LINES))
+            if not chunk:
+                break
+            handle.write(chunk)
+
+
 def _write_jsonl(path: str, records: Iterable[Dict[str, object]]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True, default=str))
-            handle.write("\n")
+    _write_lines(path, (_encode(record) + "\n" for record in records))
 
 
 def traffic_records(monitor) -> List[Dict[str, object]]:
@@ -186,7 +212,12 @@ def export_metrics(
 
 
 def trace_record_to_dict(record: TraceRecord) -> Dict[str, object]:
-    """One trace line's payload (shared by writer and tests)."""
+    """One trace line's payload.
+
+    The sharded engine ships these dicts across processes; the trace
+    writers format lines directly and the tests hold them to
+    ``json.dumps(trace_record_to_dict(r), sort_keys=True, default=str)``.
+    """
     return {
         "record": "trace",
         "t": record.time,
@@ -196,19 +227,67 @@ def trace_record_to_dict(record: TraceRecord) -> Dict[str, object]:
     }
 
 
+def _trace_line_formatter(
+    memo_limit: Optional[int] = None,
+) -> Callable[[TraceRecord], str]:
+    """A function from a trace record to its newline-terminated JSON line.
+
+    The line is the sorted-key encoding of :func:`trace_record_to_dict`,
+    assembled from parts: a packet's ``detail`` fragment is encoded once
+    per :attr:`Packet.uid <repro.net.packet.Packet.uid>` (PDUs are not
+    modified after they are sent) and each category once, float times are
+    written with ``float.__repr__`` as :mod:`json` does.  Any other detail
+    is encoded afresh, and a record whose time is not a finite ``float``,
+    or whose node or category is not an ``int`` and a ``str``, takes the
+    dict route whole.
+
+    The memo lives as long as the returned function; ``memo_limit`` makes
+    it start over at that many packets, for a writer that outlives a run.
+    """
+    # Not at module level: repro.net imports repro.obs.binning, and pulling
+    # the network stack in from here would reorder every program's imports.
+    from repro.net.packet import Packet
+
+    fragments: Dict[int, str] = {}
+    heads: Dict[str, str] = {}
+
+    def line(record: TraceRecord) -> str:
+        time, category, node, detail = record
+        if (
+            type(time) is not float
+            or not -_INF < time < _INF
+            or type(node) is not int
+            or type(category) is not str
+        ):
+            return _encode(trace_record_to_dict(record)) + "\n"
+        if isinstance(detail, Packet):
+            fragment = fragments.get(detail.uid)
+            if fragment is None:
+                if len(fragments) == memo_limit:
+                    fragments.clear()
+                fragment = fragments[detail.uid] = _encode(summarize_detail(detail))
+        else:
+            fragment = _encode(summarize_detail(detail))
+        head = heads.get(category)
+        if head is None:
+            head = heads[category] = f'{{"cat": {_encode(category)}, "detail": '
+        return f'{head}{fragment}, "node": {node}, "record": "trace", "t": {time!r}}}\n'
+
+    return line
+
+
 def export_trace(
     path: str,
     manifest: Dict[str, object],
     records: Iterable[TraceRecord],
 ) -> str:
     """Write one trace JSONL file; returns ``path``."""
-
-    def lines() -> Iterable[Dict[str, object]]:
-        yield manifest
-        for record in records:
-            yield trace_record_to_dict(record)
-
-    _write_jsonl(path, lines())
+    _write_lines(
+        path,
+        itertools.chain(
+            [_encode(manifest) + "\n"], map(_trace_line_formatter(), records)
+        ),
+    )
     return path
 
 
@@ -223,12 +302,7 @@ def export_trace_dicts(
     they cross the process boundary in); this writes them in the exact
     format :func:`export_trace` produces.
     """
-
-    def lines() -> Iterable[Dict[str, object]]:
-        yield manifest
-        yield from records
-
-    _write_jsonl(path, lines())
+    _write_jsonl(path, itertools.chain([manifest], records))
     return path
 
 
@@ -236,28 +310,40 @@ class JsonlTraceWriter:
     """Incremental trace writer: a ``trace_sink`` for :class:`RunObserver`.
 
     Streams records to disk as they happen instead of buffering a full
-    run's trace in memory — the long-run / production-scale mode.
+    run's trace in memory — the long-run / production-scale mode.  At most
+    ``_CHUNK_LINES`` formatted lines wait in memory for the next write, so
+    the file is complete only after :meth:`close`.
     """
 
     def __init__(self, path: str, manifest: Dict[str, object]) -> None:
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
         self.path = path
-        self._handle = open(path, "w")
-        self._write(manifest)
         self.records_written = 0
-
-    def _write(self, payload: Dict[str, object]) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True, default=str))
-        self._handle.write("\n")
+        self._line = _trace_line_formatter(_MEMO_LIMIT)
+        self._pending: List[str] = []
+        self._handle = _create(path)
+        try:
+            self._handle.write(_encode(manifest) + "\n")
+        except BaseException:
+            self._handle.close()
+            raise
 
     def __call__(self, record: TraceRecord) -> None:
-        self._write(trace_record_to_dict(record))
+        pending = self._pending
+        pending.append(self._line(record))
         self.records_written += 1
+        if len(pending) >= _CHUNK_LINES:
+            self._flush()
+
+    def _flush(self) -> None:
+        self._handle.write("".join(self._pending))
+        self._pending.clear()
 
     def close(self) -> None:
         if not self._handle.closed:
-            self._handle.close()
+            try:
+                self._flush()
+            finally:
+                self._handle.close()
 
     def __enter__(self) -> "JsonlTraceWriter":
         return self

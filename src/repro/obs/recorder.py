@@ -23,9 +23,9 @@ Everything lands in a :class:`~repro.obs.registry.MetricsRegistry`; the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry, TimeHistogram
 from repro.sim.trace import TraceRecord, Tracer
 
 #: Forwarding-engine packet categories (exact tracer categories).
@@ -162,9 +162,16 @@ class RunObserver:
         self.trace_categories: Tuple[str, ...] = tuple(
             trace_categories if trace_categories is not None else default_trace_categories()
         )
+        #: Captured records; listeners hold its ``append``, so it is only
+        #: ever extended in place.
         self.trace_records: List[TraceRecord] = []
         self._subscriptions: List[Tuple[str, Callable[[TraceRecord], None]]] = []
         self._attached = False
+        # (category, zone) -> its two metrics, so that an event costs a dict
+        # lookup rather than two sorted label tuples in the registry.
+        self._protocol_handles: Dict[
+            Tuple[str, int], Tuple[Counter, Union[Counter, TimeHistogram]]
+        ] = {}
 
     # -------------------------------------------------------------- lifecycle
 
@@ -172,27 +179,28 @@ class RunObserver:
         """Subscribe every listener; idempotent."""
         if self._attached:
             return self
+        capture = self._capture_listener()
         for category in PROTOCOL_CATEGORIES:
-            self._subscribe(category, self._on_protocol)
+            self._subscribe(category, self._on_protocol, capture)
         for category in ZCR_CATEGORIES:
-            self._subscribe(category, self._on_zcr)
+            self._subscribe(category, self._on_zcr, capture)
         if self.global_events:
             for category in fault_categories():
-                self._subscribe(category, self._on_fault)
-            self._subscribe("net.reconverge", self._on_reconverge)
+                self._subscribe(category, self._on_fault, capture)
+            self._subscribe("net.reconverge", self._on_reconverge, capture)
         if self.zone_of is not None:
-            self._subscribe("pkt.recv", self._on_pkt_recv)
-            self._subscribe("pkt.drop", self._on_pkt_drop)
-            self._subscribe("pkt.nodedrop", self._on_pkt_drop)
-            self._subscribe("pkt.qdrop", self._on_pkt_drop)
-        if self.capture_trace or self.trace_sink is not None:
+            self._subscribe("pkt.recv", self._zone_listener("zone_traffic"), capture)
+            on_drop = self._zone_listener("zone_drops")
+            for category in ("pkt.drop", "pkt.nodedrop", "pkt.qdrop"):
+                self._subscribe(category, on_drop, capture)
+        if capture is not None:
             already = {category for category, _ in self._subscriptions}
             if not self.global_events:
                 already.update(NET_CATEGORIES)
                 already.update(fault_categories())
             for category in self.trace_categories:
                 if category not in already:
-                    self._subscribe(category, self._on_trace_only)
+                    self._subscribe(category, None, capture)
         self._attached = True
         return self
 
@@ -206,51 +214,71 @@ class RunObserver:
         self._subscriptions.clear()
         self._attached = False
 
-    def _subscribe(self, category: str, handler: Callable[[TraceRecord], None]) -> None:
-        # Bound-method equality, not identity: every ``self._on_trace_only``
-        # access builds a fresh method object.
-        capture = (
-            handler != self._on_trace_only
-            and (self.capture_trace or self.trace_sink is not None)
-            and category in self.trace_categories
-        )
+    def _capture_listener(self) -> Optional[Callable[[TraceRecord], None]]:
+        """What a captured record is handed to, or None when nothing captures.
 
-        if capture:
-            def listener(record: TraceRecord, _handler=handler) -> None:
-                _handler(record)
-                self._record_trace(record)
-        else:
+        With one destination that is the destination itself — the list's
+        ``append`` or the sink — so a captured record costs one call.
+        """
+        if not self.capture_trace:
+            return self.trace_sink
+        if self.trace_sink is None:
+            return self.trace_records.append
+        return self._record_trace
+
+    def _subscribe(
+        self,
+        category: str,
+        handler: Optional[Callable[[TraceRecord], None]],
+        capture: Optional[Callable[[TraceRecord], None]],
+    ) -> None:
+        """Subscribe ``handler``, ``capture`` (for a traced category), or both."""
+        if category not in self.trace_categories:
+            capture = None
+        if handler is None:
+            listener = capture
+        elif capture is None:
             listener = handler
+        else:
+            def listener(record: TraceRecord) -> None:
+                handler(record)
+                capture(record)
         self.tracer.subscribe(category, listener)
         self._subscriptions.append((category, listener))
 
     # -------------------------------------------------------------- listeners
 
     def _record_trace(self, record: TraceRecord) -> None:
-        if self.capture_trace:
-            self.trace_records.append(record)
-        if self.trace_sink is not None:
-            self.trace_sink(record)
-
-    def _on_trace_only(self, record: TraceRecord) -> None:
-        self._record_trace(record)
+        self.trace_records.append(record)
+        self.trace_sink(record)
 
     def _on_protocol(self, record: TraceRecord) -> None:
         detail = record.detail if isinstance(record.detail, dict) else {}
-        category = record.category
-        protocol, _, event = category.partition(".")
         zone = detail.get("zone", -1)
-        if event == "inject":
-            self.registry.counter("injections", protocol=protocol, zone=zone).inc()
-            self.registry.counter(
-                "injected_packets", protocol=protocol, zone=zone
-            ).inc(int(detail.get("n", 1)))
-            return
-        family = "nacks_sent" if event == "nack" else "repairs_sent"
-        self.registry.counter(family, protocol=protocol, zone=zone).inc()
-        self.registry.histogram(
-            f"{family}_per_interval", self.bin_width, protocol=protocol, zone=zone
-        ).observe(record.time)
+        handles = self._protocol_handles.get((record.category, zone))
+        if handles is None:
+            protocol, _, event = record.category.partition(".")
+            labels = {"protocol": protocol, "zone": zone}
+            if event == "inject":
+                handles = (
+                    self.registry.counter("injections", **labels),
+                    self.registry.counter("injected_packets", **labels),
+                )
+            else:
+                family = "nacks_sent" if event == "nack" else "repairs_sent"
+                handles = (
+                    self.registry.counter(family, **labels),
+                    self.registry.histogram(
+                        f"{family}_per_interval", self.bin_width, **labels
+                    ),
+                )
+            self._protocol_handles[record.category, zone] = handles
+        events, second = handles
+        events.inc()
+        if type(second) is Counter:
+            second.inc(int(detail.get("n", 1)))
+        else:
+            second.observe(record.time)
 
     def _on_zcr(self, record: TraceRecord) -> None:
         event = record.category.partition(".")[2]
@@ -276,23 +304,25 @@ class RunObserver:
     def _on_reconverge(self, record: TraceRecord) -> None:
         self.registry.counter("reconvergences").inc()
 
-    def _on_pkt_recv(self, record: TraceRecord) -> None:
-        zone = self.zone_of.get(record.node)
-        if zone is None:
-            return
-        kind = getattr(record.detail, "kind", "?")
-        self.registry.histogram(
-            "zone_traffic", self.bin_width, zone=zone, kind=kind
-        ).observe(record.time)
+    def _zone_listener(self, family: str) -> Callable[[TraceRecord], None]:
+        """A listener that bins ``pkt.*`` records into ``family{zone, kind}``."""
+        zone_of = self.zone_of.get
+        histogram, bin_width = self.registry.histogram, self.bin_width
+        handles: Dict[Tuple[int, str], TimeHistogram] = {}
 
-    def _on_pkt_drop(self, record: TraceRecord) -> None:
-        zone = self.zone_of.get(record.node)
-        if zone is None:
-            return
-        kind = getattr(record.detail, "kind", "?")
-        self.registry.histogram(
-            "zone_drops", self.bin_width, zone=zone, kind=kind
-        ).observe(record.time)
+        def listener(record: TraceRecord) -> None:
+            zone = zone_of(record.node)
+            if zone is None:
+                return
+            kind = getattr(record.detail, "kind", "?")
+            hist = handles.get((zone, kind))
+            if hist is None:
+                hist = handles[zone, kind] = histogram(
+                    family, bin_width, zone=zone, kind=kind
+                )
+            hist.observe(record.time)
+
+        return listener
 
     # ---------------------------------------------------------------- queries
 

@@ -14,7 +14,7 @@ and any ``detail`` payload construction entirely when nobody listens.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 
 class TraceRecord(NamedTuple):
@@ -35,17 +35,33 @@ class TraceRecord(NamedTuple):
 
 Listener = Callable[[TraceRecord], None]
 
+# ``TraceRecord(...)`` runs the named tuple's Python-level ``__new__``; an
+# observed run builds one record per hop, and this is the same object at
+# half the cost.
+_new_record = tuple.__new__
+
+
+def _without(listeners: Tuple[Listener, ...], listener: Listener) -> Tuple[Listener, ...]:
+    """``listeners`` minus the first entry equal to ``listener``."""
+    index = listeners.index(listener)
+    return listeners[:index] + listeners[index + 1:]
+
 
 class Tracer:
     """Pub/sub dispatcher for trace records.
 
     Listeners subscribe to a category prefix; ``emit`` is a no-op when nobody
     listens, so tracing costs almost nothing in production runs.
+
+    Listener tables are copy-on-write tuples: an ``emit`` in progress keeps
+    iterating the tuple it started with, so a listener may subscribe or
+    unsubscribe (itself included) from inside its callback and every
+    listener registered when the record was emitted still receives it.
     """
 
     def __init__(self) -> None:
-        self._listeners: Dict[str, List[Listener]] = {}
-        self._any: List[Listener] = []
+        self._listeners: Dict[str, Tuple[Listener, ...]] = {}
+        self._any: Tuple[Listener, ...] = ()
         self._enabled = True
         self._version = 0
         self._wants_memo: Dict[str, bool] = {}
@@ -78,17 +94,17 @@ class Tracer:
     def subscribe(self, category: Optional[str], listener: Listener) -> None:
         """Register ``listener`` for ``category`` (None means every record)."""
         if category is None:
-            self._any.append(listener)
+            self._any += (listener,)
         else:
-            self._listeners.setdefault(category, []).append(listener)
+            self._listeners[category] = self._listeners.get(category, ()) + (listener,)
         self._bump()
 
     def unsubscribe(self, category: Optional[str], listener: Listener) -> None:
         """Remove a previously registered listener (ValueError if absent)."""
         if category is None:
-            self._any.remove(listener)
+            self._any = _without(self._any, listener)
         else:
-            self._listeners[category].remove(listener)
+            self._listeners[category] = _without(self._listeners[category], listener)
         self._bump()
 
     def has_listeners(self, category: str) -> bool:
@@ -120,7 +136,7 @@ class Tracer:
         exact = self._listeners.get(category)
         if not exact and not self._any:
             return
-        record = TraceRecord(time, category, node, detail)
+        record = _new_record(TraceRecord, (time, category, node, detail))
         if exact:
             for listener in exact:
                 listener(record)

@@ -148,3 +148,61 @@ def test_progress_reporter_lines():
 def test_progress_reporter_rejects_bad_interval():
     with pytest.raises(ValueError):
         ProgressReporter(Simulator(seed=1), interval=0.0)
+
+
+def test_detaching_an_observer_from_a_listener_keeps_the_record_for_the_rest():
+    # A stop-on-first-fault hook detaches the observer from inside an emit;
+    # listeners registered after the observer's must still get that record.
+    sim = Simulator(seed=1)
+    obs = RunObserver(sim, capture_trace=True)
+    after = []
+    sim.tracer.subscribe("pkt.send", lambda record: obs.detach())
+    obs.attach()
+    sim.tracer.subscribe("pkt.send", after.append)
+    sim.tracer.emit(1.0, "pkt.send", 0, None)
+    sim.tracer.emit(2.0, "pkt.send", 0, None)
+    assert [r.time for r in obs.trace_records] == [1.0]
+    assert [r.time for r in after] == [1.0, 2.0]
+
+
+def test_capture_without_a_sink_appends_straight_to_the_list():
+    sim = Simulator(seed=1)
+    obs = RunObserver(sim, capture_trace=True).attach()
+    pkt = Packet(src=0, group=1, size_bytes=8, kind="DATA")
+    sim.tracer.emit(1.0, "pkt.send", 0, pkt)
+    sim.tracer.emit(1.1, "sharqfec.repair", 3, {"zone": 2})
+    obs.detach()
+    sim.tracer.emit(1.2, "pkt.send", 0, pkt)
+    assert [r.category for r in obs.trace_records] == ["pkt.send", "sharqfec.repair"]
+    assert obs.repairs_by_zone() == {2: 1}
+    assert not sim.tracer.wants("pkt.send")
+
+
+def test_cached_metric_handles_leave_the_registry_snapshot_unchanged():
+    # Handles are looked up once per (category, zone) / (zone, kind); the
+    # snapshot — names, labels, insertion order, values — is what the
+    # uncached registry calls produced.
+    sim = Simulator(seed=1)
+    pkt = Packet(src=0, group=1, size_bytes=8, kind="FEC")
+    obs = RunObserver(sim, zone_of={5: 30}).attach()
+    for t in (0.05, 0.15, 0.16):
+        sim.tracer.emit(t, "sharqfec.nack", 5, {"zone": 2})
+        sim.tracer.emit(t, "sharqfec.inject", 5, {"zone": 2, "n": 3})
+        sim.tracer.emit(t, "pkt.recv", 5, pkt)
+        sim.tracer.emit(t, "pkt.qdrop", 5, pkt)
+    obs.detach()
+    obs.attach()  # a second attach finds the same metrics again
+    sim.tracer.emit(0.3, "pkt.recv", 5, pkt)
+    obs.detach()
+    labels = {"protocol": "sharqfec", "zone": 2}
+    assert obs.registry.snapshot() == [
+        {"record": "counter", "name": "nacks_sent", "labels": labels, "value": 3},
+        {"record": "counter", "name": "injections", "labels": labels, "value": 3},
+        {"record": "counter", "name": "injected_packets", "labels": labels, "value": 9},
+        {"record": "hist", "name": "nacks_sent_per_interval", "labels": labels,
+         "bin_width": 0.1, "count": 3, "total": 3.0, "bins": {"0": 1, "1": 2}},
+        {"record": "hist", "name": "zone_traffic", "labels": {"kind": "FEC", "zone": 30},
+         "bin_width": 0.1, "count": 4, "total": 4.0, "bins": {"0": 1, "1": 2, "3": 1}},
+        {"record": "hist", "name": "zone_drops", "labels": {"kind": "FEC", "zone": 30},
+         "bin_width": 0.1, "count": 3, "total": 3.0, "bins": {"0": 1, "1": 2}},
+    ]

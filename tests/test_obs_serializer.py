@@ -1,0 +1,199 @@
+"""The trace writers against their oracle.
+
+``json.dumps(trace_record_to_dict(r), sort_keys=True, default=str)`` is the
+definition of one ``sharqfec.obs.v1`` trace line.  The writers assemble the
+same bytes from memoised parts (:func:`repro.obs.export._trace_line_formatter`);
+these tests hold them to the definition, record by record and over a whole
+run, and pin the work the memo saves.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.experiments.common as common
+import repro.obs.export as export
+from repro.analysis.obsload import monitor_from_export
+from repro.experiments.common import ObservabilityOptions, run_traffic
+from repro.net.packet import Packet
+from repro.obs.export import (
+    JsonlTraceWriter,
+    build_manifest,
+    export_trace,
+    trace_record_to_dict,
+)
+from repro.sim.trace import TraceRecord
+from tests.test_transport_wire import pdu_strategy
+
+
+def oracle_line(record: TraceRecord) -> str:
+    return json.dumps(trace_record_to_dict(record), sort_keys=True, default=str) + "\n"
+
+
+# ------------------------------------------------------------------ per line
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+dict_details = st.dictionaries(
+    st.text(max_size=8),
+    st.recursive(
+        json_scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    ),
+    max_size=4,
+)
+details = st.one_of(
+    pdu_strategy,
+    dict_details,
+    st.text(),
+    st.none(),
+    st.builds(object),
+    st.integers(),
+    st.floats(),
+)
+times = st.floats() | st.integers(-(10**6), 10**6) | st.booleans()
+nodes = st.just(-1) | st.integers() | st.booleans()
+categories = st.sampled_from(["pkt.recv", "sharqfec.nack", "fault.link_down"]) | st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(details, min_size=1, max_size=4),
+    st.lists(st.tuples(times, categories, nodes, st.integers(0, 3)), max_size=12),
+)
+def test_fast_line_equals_the_oracle(pool, shapes):
+    # Few details, many records: the same packet recurs as it does in a flood.
+    line = export._trace_line_formatter()
+    for time, category, node, pick in shapes:
+        record = TraceRecord(time, category, node, pool[pick % len(pool)])
+        assert line(record) == oracle_line(record)
+
+
+def test_bounded_memo_starts_over_and_stays_exact():
+    packets = [Packet("DATA", 0, 1, 100 + i) for i in range(5)]
+    line = export._trace_line_formatter(memo_limit=2)
+    for _ in range(2):
+        for i, packet in enumerate(packets):
+            record = TraceRecord(0.1 * i, "pkt.recv", i, packet)
+            assert line(record) == oracle_line(record)
+
+
+# ----------------------------------------------------------------- whole run
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """``run_traffic("SHARQFEC", 64, seed=1)`` exported, with what it was given.
+
+    The batch files are the run's own; ``records`` and ``manifest`` are the
+    arguments its ``export_trace`` call received and ``summaries`` the
+    number of ``summarize_detail`` calls that export made.
+    """
+    root = tmp_path_factory.mktemp("serializer")
+    seen = {}
+    real_export, real_summarize = common.export_trace, export.summarize_detail
+
+    def counting_summarize(detail):
+        seen["summaries"] += 1
+        return real_summarize(detail)
+
+    def spying_export(path, manifest, records):
+        seen.update(path=path, manifest=manifest, records=list(records), summaries=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(export, "summarize_detail", counting_summarize)
+            return real_export(path, manifest, seen["records"])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(common, "export_trace", spying_export)
+        run_traffic(
+            "SHARQFEC",
+            n_packets=64,
+            seed=1,
+            obs=ObservabilityOptions(metrics_dir=str(root), trace_dir=str(root)),
+        )
+    (metrics,) = [n for n in os.listdir(root) if n.endswith(".metrics.jsonl")]
+    seen["metrics"] = os.path.join(root, metrics)
+    seen["root"] = root
+    return seen
+
+
+def test_batch_streaming_and_oracle_write_the_same_bytes(run):
+    with open(run["path"], "rb") as handle:
+        batch = handle.read()
+    streamed_path = str(run["root"] / "streamed.trace.jsonl")
+    with JsonlTraceWriter(streamed_path, run["manifest"]) as writer:
+        for record in run["records"]:
+            writer(record)
+    assert writer.records_written == len(run["records"]) > 10_000
+    with open(streamed_path, "rb") as handle:
+        streamed = handle.read()
+    oracle = json.dumps(run["manifest"], sort_keys=True, default=str) + "\n"
+    oracle += "".join(map(oracle_line, run["records"]))
+    assert batch == oracle.encode()
+    assert streamed == batch
+
+
+def test_summarize_detail_runs_once_per_distinct_packet(run):
+    packets = {r.detail.uid for r in run["records"] if isinstance(r.detail, Packet)}
+    others = sum(1 for r in run["records"] if not isinstance(r.detail, Packet))
+    assert run["summaries"] == len(packets) + others
+    # The saving is the point: a multicast's receives share one packet.
+    assert run["summaries"] * 4 < len(run["records"])
+
+
+def test_export_trace_accepts_a_generator(tmp_path):
+    records = [TraceRecord(0.5, "pkt.send", 2, Packet("DATA", 2, 1, 64)) for _ in range(3)]
+    path = export_trace(str(tmp_path / "t.jsonl"), {"record": "manifest"}, iter(records))
+    with open(path) as handle:
+        assert handle.read() == '{"record": "manifest"}\n' + "".join(map(oracle_line, records))
+
+
+def test_mean_series_equals_the_per_node_path_on_a_reloaded_export(run):
+    monitor = monitor_from_export(run["metrics"])
+    nodes = monitor.nodes_seen()
+    assert len(nodes) > 50
+    for kinds, t_end in ((["DATA", "FEC"], None), (["NACK"], 12.0), (["SESSION"], 0.0)):
+        for chosen in (nodes, nodes[:1], nodes[:3] + nodes[:2]):
+            per_node = [monitor.series(kinds, node, t_end) for node in chosen]
+            length = max(len(s) for s in per_node)
+            expected = [
+                sum(s[i] for s in per_node if i < len(s)) / float(len(chosen))
+                for i in range(length)
+            ]
+            assert monitor.mean_series(kinds, chosen, t_end) == expected
+    assert monitor.mean_series(["DATA"], []) == []
+
+
+# ------------------------------------------------------------ writer set-up
+
+
+def test_writer_closes_its_file_when_the_manifest_cannot_be_written(tmp_path, monkeypatch):
+    opened = []
+
+    def spying_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(export, "open", spying_open, raising=False)
+    with pytest.raises(TypeError):
+        # A tuple key is not JSON, whatever ``default`` says.
+        JsonlTraceWriter(str(tmp_path / "bad.trace.jsonl"), {("not", "json"): 1})
+    assert len(opened) <= 1 and all(handle.closed for handle in opened)
+
+
+def test_writer_counts_from_zero_and_completes_the_file_on_close(tmp_path):
+    path = str(tmp_path / "w.trace.jsonl")
+    writer = JsonlTraceWriter(path, build_manifest("trace", run="unit"))
+    assert writer.records_written == 0
+    record = TraceRecord(1.25, "zcr.takeover", 7, {"zone": 3, "epoch": 2})
+    writer(record)
+    writer.close()
+    writer.close()  # idempotent
+    with open(path) as handle:
+        assert handle.read().splitlines(keepends=True)[1:] == [oracle_line(record)]

@@ -60,3 +60,65 @@ def test_has_listeners():
     assert not tracer.has_listeners("y")
     tracer.subscribe(None, lambda r: None)
     assert tracer.has_listeners("y")
+
+
+def test_listener_that_unsubscribes_itself_does_not_starve_the_next():
+    # Regression: emit iterated the live listener list, so removing entry 0
+    # from inside its callback shifted entry 1 under the iterator and that
+    # record never reached it.
+    tracer = Tracer()
+    got = []
+
+    def one_shot(record):
+        got.append(("one_shot", record.time))
+        tracer.unsubscribe("x", one_shot)
+
+    tracer.subscribe("x", one_shot)
+    tracer.subscribe("x", lambda record: got.append(("steady", record.time)))
+    tracer.emit(1.0, "x", 0)
+    tracer.emit(2.0, "x", 0)
+    assert got == [("one_shot", 1.0), ("steady", 1.0), ("steady", 2.0)]
+
+
+def test_catch_all_listener_may_unsubscribe_itself_mid_emit():
+    tracer = Tracer()
+    got = []
+
+    def one_shot(record):
+        got.append("one_shot")
+        tracer.unsubscribe(None, one_shot)
+
+    tracer.subscribe(None, one_shot)
+    tracer.subscribe(None, lambda record: got.append("steady"))
+    tracer.emit(1.0, "x", 0)
+    assert got == ["one_shot", "steady"]
+    assert tracer.has_listeners("x")
+
+
+def test_listener_subscribed_mid_emit_first_sees_the_next_record():
+    tracer = Tracer()
+    got = []
+    late = lambda record: got.append(("late", record.time))  # noqa: E731
+
+    def recruiter(record):
+        if record.time == 1.0:
+            tracer.subscribe("x", late)
+
+    tracer.subscribe("x", recruiter)
+    tracer.emit(1.0, "x", 0)
+    tracer.emit(2.0, "x", 0)
+    assert got == [("late", 2.0)]
+
+
+def test_unsubscribe_removes_one_registration_of_a_listener_subscribed_twice():
+    tracer = Tracer()
+    got = []
+    tracer.subscribe("x", got.append)
+    tracer.subscribe("x", got.append)
+    tracer.unsubscribe("x", got.append)
+    tracer.emit(1.0, "x", 0)
+    assert len(got) == 1
+    tracer.unsubscribe("x", got.append)
+    assert not tracer.has_listeners("x")
+    with pytest.raises(ValueError):
+        tracer.unsubscribe("x", got.append)
