@@ -158,6 +158,7 @@ class SessionPdu(Packet):
         "zcr_epoch",
         "entries",
         "highest_group",
+        "_echo_index",
     )
 
     def __init__(
@@ -184,6 +185,7 @@ class SessionPdu(Packet):
         # the stream-extent advertisement that lets (re)joining receivers
         # detect wholly-missed groups (SRM session highest_seq analogue).
         self.highest_group = highest_group
+        self._echo_index: Optional[Dict[int, SessionEntry]] = None
 
     _DESCRIBE_FIELDS = (
         "zone_id",
@@ -194,6 +196,33 @@ class SessionPdu(Packet):
         "highest_group",
         "entries",
     )
+
+    def echo_index(self) -> Dict[int, SessionEntry]:
+        """``peer_id -> entry`` over :attr:`entries`.
+
+        Built by the first hearer and shared by the rest: the simulator
+        delivers one PDU object per send, so a zone of n members pays for
+        one index instead of n scans.  A peer listed twice has no single
+        echo to close; such a message is refused, not resolved by order.
+        """
+        index = self._echo_index
+        if index is None:
+            index = {entry.peer_id: entry for entry in self.entries}
+            if len(index) != len(self.entries):
+                raise ValueError(
+                    f"session message from {self.src} lists a peer more than once"
+                )
+            self._echo_index = index
+        return index
+
+    def __getstate__(self):
+        # The index is a per-process cache; it must not ride a shard pipe.
+        slots = {
+            name: getattr(self, name)
+            for name in Packet.__slots__ + SessionPdu.__slots__
+        }
+        slots["_echo_index"] = None
+        return None, slots
 
 
 class ZcrChallengePdu(Packet):

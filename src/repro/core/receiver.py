@@ -42,6 +42,8 @@ class SharqfecReceiver(SharqfecEndpoint):
         self._last_data_time: Optional[float] = None
         self._last_data_seq: Optional[int] = None
         self._highest_group_seen = -1
+        # Highest stream extent already applied by _on_stream_extent.
+        self._extent_applied = -1
         self._ldp_timers: Dict[int, Timer] = {}
         self._request_timers: Dict[int, Timer] = {}
         self._suppressed_fires: Dict[int, int] = {}
@@ -412,6 +414,9 @@ class SharqfecReceiver(SharqfecEndpoint):
         # the first post-restart arrival (the gap spans the whole outage).
         self._last_data_time = None
         self._last_data_seq = None
+        # Whatever the outage hid surfaces through extent gossip, so the
+        # first advertisement heard after it must be applied afresh.
+        self._extent_applied = -1
         self._resync_groups()
 
     def _resync_groups(self) -> None:
@@ -455,7 +460,14 @@ class SharqfecReceiver(SharqfecEndpoint):
         tail-loss detection — without it, a receiver that missed *every*
         packet of a trailing group (crash, partition) would never learn
         the group exists.
+
+        Every session message carries an extent, and once the stream has
+        ended they all carry the same one; an extent at or below the last
+        one applied finds every group already finalized and
+        ``_highest_group_seen`` already past it, so it is dropped here.
         """
+        if group_id <= self._extent_applied:
+            return
         if not self.config.stream_extent_gossip:
             return
         if not 0 <= group_id < self.config.n_groups:
@@ -471,3 +483,4 @@ class SharqfecReceiver(SharqfecEndpoint):
             self._finalize_group(self.group_state(gid))
         if group_id > self._highest_group_seen:
             self._highest_group_seen = group_id
+        self._extent_applied = group_id

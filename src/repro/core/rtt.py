@@ -31,6 +31,10 @@ class RttTable:
         # zone_id -> peer -> (peer's send timestamp, our receive time);
         # indexed by zone because every session send reads one zone's worth.
         self._heard: Dict[int, Dict[int, Tuple[float, float]]] = {}
+        # zone_id -> ascending peer ids of _heard[zone_id].  Removals drop
+        # the entry; additions only grow the zone's dict, so a kept order
+        # is current exactly when the lengths agree.
+        self._heard_order: Dict[int, List[int]] = {}
         # zcr -> peer -> RTT the ZCR advertises to that peer
         self._zcr_peer_rtts: Dict[int, Dict[int, float]] = {}
 
@@ -59,15 +63,16 @@ class RttTable:
         rtt = self.get(peer)
         return None if rtt is None else rtt / 2.0
 
-    def known_peers(self) -> Dict[int, float]:
-        """Copy of all direct estimates (peer -> RTT)."""
-        return dict(self._estimates)
+    def max_estimate(self) -> Optional[float]:
+        """Largest direct RTT estimate held, or None when there is none."""
+        return max(self._estimates.values(), default=None)
 
     def forget(self, peer: int) -> None:
         """Drop all state about a departed peer."""
         self._estimates.pop(peer, None)
         for zone_heard in self._heard.values():
             zone_heard.pop(peer, None)
+        self._heard_order.clear()
         self._zcr_peer_rtts.pop(peer, None)
 
     # ---------------------------------------------------------------- echoing
@@ -86,6 +91,24 @@ class RttTable:
         """
         return self._heard.get(zone_id) or {}
 
+    def echo_rows(self, zone_id: int) -> List[Tuple[int, Tuple[float, float], float]]:
+        """What a session message to ``zone_id`` echoes, in ascending peer
+        order: ``(peer, (their timestamp, our recv time), estimate)`` with
+        -1.0 for a peer heard but not yet measured.
+
+        Peers heard are never this node, so the estimate is read straight
+        from the table.  The order is re-sorted only when the zone's peer
+        set has changed since the last call.
+        """
+        heard = self._heard.get(zone_id)
+        if not heard:
+            return []
+        order = self._heard_order.get(zone_id)
+        if order is None or len(order) != len(heard):
+            order = self._heard_order[zone_id] = sorted(heard)
+        estimate = self._estimates.get
+        return [(peer, heard[peer], estimate(peer, -1.0)) for peer in order]
+
     def prune_stale(self, now: float, timeout: float) -> List[int]:
         """Drop peers not heard within ``timeout``; returns their ids."""
         dropped = set()
@@ -97,6 +120,8 @@ class RttTable:
             for peer in stale:
                 del zone_heard[peer]
             dropped.update(stale)
+        if dropped:
+            self._heard_order.clear()
         return sorted(dropped)
 
     def close_echo(self, peer: int, peer_sent_at: float, elapsed: float, now: float) -> float:

@@ -153,27 +153,6 @@ class SessionManager:
                     zones.append(parent)
         return zones
 
-    def _participates_in(self, zone_id: int) -> bool:
-        """Membership test equivalent to ``zone_id in participation_zones()``.
-
-        The receive path runs this once per session message heard, so it
-        answers from the chain index directly instead of materializing the
-        zone list.
-        """
-        chain = self.chain
-        if zone_id == chain[0].zone_id:
-            return True
-        index = self._zone_index.get(zone_id)
-        if index is None:
-            return False
-        node_id = self.node_id
-        zcr_ids = self.zcr_ids
-        # ZCR of this (non-root) zone participates in it ...
-        if index < len(chain) - 1 and zcr_ids.get(zone_id) == node_id:
-            return True
-        # ... and in the parent of any zone it represents.
-        return index >= 1 and zcr_ids.get(chain[index - 1].zone_id) == node_id
-
     def is_zcr(self, zone_id: int) -> bool:
         """True if this node believes itself the ZCR of ``zone_id``."""
         return self.zcr_ids.get(zone_id) == self.node_id
@@ -186,16 +165,9 @@ class SessionManager:
 
     def _send_session_message(self, zone: Zone) -> None:
         now = self.clock.now
-        heard = self.rtt.heard_in_zone(zone.zone_id)
-        rtt_get = self.rtt.get
         entries = tuple(
-            SessionEntry(
-                peer_id=peer,
-                peer_timestamp=ts,
-                elapsed=now - recv_at,
-                rtt_estimate=est if (est := rtt_get(peer)) is not None else -1.0,
-            )
-            for peer, (ts, recv_at) in sorted(heard.items())
+            SessionEntry(peer, ts, now - recv_at, estimate)
+            for peer, (ts, recv_at), estimate in self.rtt.echo_rows(zone.zone_id)
         )
         zcr = self.zcr_ids.get(zone.zone_id)
         extent = -1
@@ -235,86 +207,82 @@ class SessionManager:
     def handle_session(self, pdu: SessionPdu) -> None:
         """Process a session message heard on any subscribed zone channel."""
         node_id = self.node_id
-        if pdu.src == node_id:
+        src = pdu.src
+        if src == node_id:
             return
-        now = self.clock.now
         self.messages_received += 1
         if pdu.highest_group >= 0 and self.on_stream_extent is not None:
             self.on_stream_extent(pdu.highest_group)
         zone_id = pdu.zone_id
+        index = self._zone_index.get(zone_id)
+        if index is None:
+            return  # not a zone of our chain: nothing below concerns it
         chain = self.chain
         zcr_ids = self.zcr_ids
-        index = self._zone_index.get(zone_id)
-        if (
-            index is not None
-            and pdu.src == zcr_ids.get(zone_id)
-            and self.on_zcr_heard is not None
-        ):
+        if src == zcr_ids.get(zone_id) and self.on_zcr_heard is not None:
             self.on_zcr_heard(zone_id)
-        # Participation test, inlined from _participates_in (this path runs
-        # once per session message heard; the index lookup is shared with
-        # the overhear check below).
-        if zone_id == chain[0].zone_id:
-            participates = True
-        elif index is None:
-            participates = False
-        else:
-            participates = (
-                index < len(chain) - 1 and zcr_ids.get(zone_id) == node_id
-            ) or (index >= 1 and zcr_ids.get(chain[index - 1].zone_id) == node_id)
-        if participates:
+        # The receive side of participation_zones(): our smallest zone
+        # always, a (non-root) zone we are the ZCR of, and the parent of a
+        # zone we are the ZCR of.
+        if (
+            index == 0
+            or (index < len(chain) - 1 and zcr_ids.get(zone_id) == node_id)
+            or zcr_ids.get(chain[index - 1].zone_id) == node_id
+        ):
+            now = self.clock.now
             rtt = self.rtt
-            rtt.record_heard(zone_id, pdu.src, pdu.timestamp, now)
-            for entry in pdu.entries:
-                if entry.peer_id == node_id:
-                    rtt.close_echo(pdu.src, entry.peer_timestamp, entry.elapsed, now)
+            rtt.record_heard(zone_id, src, pdu.timestamp, now)
+            entry = pdu.echo_index().get(node_id)
+            if entry is not None:
+                rtt.close_echo(src, entry.peer_timestamp, entry.elapsed, now)
         # Overhear our chain ZCRs' parent-zone announcements: that is the
         # only distant state the paper's receivers retain (§5.1, Fig 5).
         # The announcement zone must sit directly above the represented zone
         # in our chain, so the candidate chain position is unique.
-        if (
-            index is not None
-            and index >= 1
-            and zcr_ids.get(chain[index - 1].zone_id) == pdu.src
-        ):
+        if index >= 1 and zcr_ids.get(chain[index - 1].zone_id) == src:
             for entry in pdu.entries:
                 if entry.rtt_estimate >= 0:
-                    self.rtt.set_zcr_peer_rtt(pdu.src, entry.peer_id, entry.rtt_estimate)
+                    self.rtt.set_zcr_peer_rtt(src, entry.peer_id, entry.rtt_estimate)
         # Zone metadata carried by any message on one of our chain zones.
         # The advertised parent distance belongs to the *advertised* ZCR, so
         # only fold it in when the beliefs agree — and adopt the peer's
         # belief when it names a strictly closer representative (this is how
         # divergent bootstrap views reconcile between challenge rounds).
-        if index is not None and pdu.zcr_id >= 0:
-            parent_rtts = self.zcr_parent_rtt
-            believed = zcr_ids.get(zone_id)
-            before_rtt = parent_rtts.get(zone_id)
-            our_epoch = self.zcr_epoch.get(zone_id, 0)
-            if believed is None or pdu.zcr_epoch > our_epoch:
-                # Unknown, or the peer has seen a newer election round.
-                zcr_ids[zone_id] = pdu.zcr_id
-                self.zcr_epoch[zone_id] = pdu.zcr_epoch
-                if pdu.zcr_parent_rtt >= 0:
-                    parent_rtts[zone_id] = pdu.zcr_parent_rtt
-            elif pdu.zcr_epoch == our_epoch:
-                if pdu.zcr_id == believed:
-                    if pdu.zcr_parent_rtt >= 0:
-                        parent_rtts[zone_id] = pdu.zcr_parent_rtt
-                elif pdu.zcr_parent_rtt >= 0:
-                    # Same round, different winner beliefs: closer wins,
-                    # node id breaks exact ties.
-                    ours = before_rtt
-                    if ours is None or pdu.zcr_parent_rtt < ours - 1e-9 or (
-                        abs(pdu.zcr_parent_rtt - ours) <= 1e-9 and pdu.zcr_id < believed
-                    ):
-                        zcr_ids[zone_id] = pdu.zcr_id
-                        parent_rtts[zone_id] = pdu.zcr_parent_rtt
-            after_zcr = zcr_ids.get(zone_id)
-            if after_zcr != believed or parent_rtts.get(zone_id) != before_rtt:
+        if pdu.zcr_id < 0:
+            return
+        parent_rtts = self.zcr_parent_rtt
+        believed = zcr_ids.get(zone_id)
+        before_rtt = parent_rtts.get(zone_id)
+        our_epoch = self.zcr_epoch.get(zone_id, 0)
+        advertised_rtt = pdu.zcr_parent_rtt
+        if pdu.zcr_id == believed and pdu.zcr_epoch == our_epoch:
+            # Same representative, same round — what nearly every message
+            # says once a zone has settled.  Only the distance can move.
+            if advertised_rtt >= 0 and advertised_rtt != before_rtt:
+                parent_rtts[zone_id] = advertised_rtt
                 if self.on_zcr_change is not None:
                     self.on_zcr_change(zone_id)
-                if believed != after_zcr and self.on_role_change is not None:
-                    self.on_role_change(zone_id)
+            return
+        if believed is None or pdu.zcr_epoch > our_epoch:
+            # Unknown, or the peer has seen a newer election round.
+            zcr_ids[zone_id] = pdu.zcr_id
+            self.zcr_epoch[zone_id] = pdu.zcr_epoch
+            if advertised_rtt >= 0:
+                parent_rtts[zone_id] = advertised_rtt
+        elif pdu.zcr_epoch == our_epoch and advertised_rtt >= 0:
+            # Same round, different winner beliefs: closer wins, node id
+            # breaks exact ties.
+            if before_rtt is None or advertised_rtt < before_rtt - 1e-9 or (
+                abs(advertised_rtt - before_rtt) <= 1e-9 and pdu.zcr_id < believed
+            ):
+                zcr_ids[zone_id] = pdu.zcr_id
+                parent_rtts[zone_id] = advertised_rtt
+        after_zcr = zcr_ids.get(zone_id)
+        if after_zcr != believed or parent_rtts.get(zone_id) != before_rtt:
+            if self.on_zcr_change is not None:
+                self.on_zcr_change(zone_id)
+            if believed != after_zcr and self.on_role_change is not None:
+                self.on_role_change(zone_id)
 
     # ------------------------------------------------------- distance queries
 
@@ -421,7 +389,7 @@ class SessionManager:
 
     def max_zone_rtt(self, zone_id: int) -> float:
         """Largest known RTT to a peer — the ZCR's 2.5×RTT wait bound (§4)."""
-        peers = self.rtt.known_peers()
-        if not peers:
+        farthest = self.rtt.max_estimate()
+        if farthest is None:
             return 2.0 * self.config.default_distance
-        return max(peers.values())
+        return farthest

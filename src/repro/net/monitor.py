@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.obs.binning import bin_index, bin_midpoint, n_bins
+from repro.obs.binning import BOUNDARY_RTOL, bin_index, bin_midpoint, n_bins
 
 
 class PacketEvent(NamedTuple):
@@ -69,14 +69,41 @@ class TrafficMonitor:
         self._drop_stats: Dict[Tuple[str, int], list] = {}
         self.sends: Dict[str, int] = {}
         self.drops: int = 0
+        # The bin the last per-packet event fell in and a window of times
+        # [lo, hi) known to share it (empty until the first event), so
+        # bin_index runs once per interval instead of once per packet.
+        self._window_lo = 0.0
+        self._window_hi = 0.0
+        self._window_index = 0
 
     # ----------------------------------------------------------- observer API
+
+    def _enter_bin(self, time: float) -> int:
+        """``bin_index(time)``, remembered with a window that shares it.
+
+        The window is sound, not tight: ``lo = k * width`` divides back to
+        within a few ulps of ``k``, which bin_index snaps to ``k``; ``hi``
+        stops twice the snap tolerance short of the next boundary — a
+        tolerance relative to the boundary's index, so it widens with
+        time — and everything below it floors to ``k``.  Times in the gap
+        just come back here.
+        """
+        width = self.bin_width
+        index = self._window_index = bin_index(time, width)
+        upper = index + 1
+        self._window_lo = index * width
+        self._window_hi = (upper - 2.0 * BOUNDARY_RTOL * max(1.0, abs(upper))) * width
+        return index
 
     def on_send(self, event: PacketEvent) -> None:
         """Record a packet's first transmission by its originator."""
         self.sends[event.kind] = self.sends.get(event.kind, 0) + 1
         key = (event.kind, event.node)
-        index = bin_index(event.time, self.bin_width)
+        time = event.time
+        if self._window_lo <= time < self._window_hi:
+            index = self._window_index
+        else:
+            index = self._enter_bin(time)
         bins = self._send_bins.setdefault(key, {})
         bins[index] = bins.get(index, 0) + 1
 
@@ -89,7 +116,11 @@ class TrafficMonitor:
         if record is None:
             record = self._stats[key] = [{}, 0, 0]
         bins = record[0]
-        index = bin_index(event.time, self.bin_width)
+        time = event.time
+        if self._window_lo <= time < self._window_hi:
+            index = self._window_index
+        else:
+            index = self._enter_bin(time)
         bins[index] = bins.get(index, 0) + 1
         record[1] += 1
         record[2] += event.size_bytes
@@ -102,7 +133,11 @@ class TrafficMonitor:
         if record is None:
             record = self._drop_stats[key] = [{}, 0, 0]
         bins = record[0]
-        index = bin_index(event.time, self.bin_width)
+        time = event.time
+        if self._window_lo <= time < self._window_hi:
+            index = self._window_index
+        else:
+            index = self._enter_bin(time)
         bins[index] = bins.get(index, 0) + 1
         record[1] += 1
         record[2] += event.size_bytes

@@ -249,6 +249,10 @@ def _dec_session(r: _Reader) -> Dict[str, Any]:
     )
     (count,) = r.unpack(_U16)
     entries = tuple(SessionEntry(*r.unpack(_SESSION_ENTRY)) for _ in range(count))
+    if len({e.peer_id for e in entries}) != count:
+        # One echo per peer: a hearer closes its RTT loop from *the* row
+        # about itself, so a second row would be ambiguous, not additive.
+        raise WireError("session entries list a peer more than once")
     return {
         "zone_id": zone_id,
         "timestamp": timestamp,

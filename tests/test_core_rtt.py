@@ -106,3 +106,42 @@ def test_state_size_counts_fig8_entries():
     t.observe(3, 0.1)
     t.set_zcr_peer_rtt(5, 8, 0.06)
     assert t.state_size() == 3
+
+
+def test_echo_rows_ascending_with_estimates():
+    t = RttTable(node_id=1)
+    t.record_heard(5, 9, 1.0, 1.1)
+    t.record_heard(5, 2, 2.0, 2.1)
+    t.record_heard(6, 4, 3.0, 3.1)
+    t.observe(9, 0.08)
+    assert t.echo_rows(5) == [(2, (2.0, 2.1), -1.0), (9, (1.0, 1.1), 0.08)]
+    assert t.echo_rows(6) == [(4, (3.0, 3.1), -1.0)]
+    assert t.echo_rows(7) == []
+
+
+def test_echo_rows_follow_the_peer_set():
+    # The sorted order is kept between calls; every way the set can change
+    # (a new peer, a forgotten one, a pruned one, one swapped for another
+    # at equal size) must show in the next call.
+    t = RttTable(node_id=1)
+    for peer in (7, 3):
+        t.record_heard(5, peer, 1.0, 1.0)
+    assert [row[0] for row in t.echo_rows(5)] == [3, 7]
+    t.record_heard(5, 3, 2.0, 2.0)  # same set, fresher echo
+    assert t.echo_rows(5)[0] == (3, (2.0, 2.0), -1.0)
+    t.record_heard(5, 5, 2.0, 2.0)
+    assert [row[0] for row in t.echo_rows(5)] == [3, 5, 7]
+    t.forget(5)
+    t.record_heard(5, 1000, 2.0, 2.0)  # same size, different members
+    assert [row[0] for row in t.echo_rows(5)] == [3, 7, 1000]
+    assert t.prune_stale(now=9.0, timeout=7.5) == [7]
+    t.record_heard(5, 4, 9.0, 9.0)
+    assert [row[0] for row in t.echo_rows(5)] == [3, 4, 1000]
+
+
+def test_max_estimate():
+    t = RttTable(node_id=1)
+    assert t.max_estimate() is None
+    t.observe(2, 0.03)
+    t.observe(3, 0.11)
+    assert t.max_estimate() == pytest.approx(0.11)

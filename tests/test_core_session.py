@@ -7,10 +7,12 @@ and the three-leg indirect estimate of §5.1.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.config import SharqfecConfig
-from repro.core.pdus import RttChainEntry
+from repro.core.pdus import RttChainEntry, SessionEntry, SessionPdu
 from repro.core.protocol import SharqfecProtocol
 from repro.core.session import SessionManager
 from repro.net.network import Network
@@ -177,3 +179,47 @@ def test_figure10_state_reduction():
     state = proto.receivers[leaf].session.rtt.state_size()
     flat_state = len(topo.receivers)  # what SRM would hold
     assert 0 < state < flat_state / 3
+
+
+# ------------------------------------------------------ shared echo index
+
+
+def _zone_message(proto, za, src, listed):
+    """A ZA session message from ``src`` echoing every peer in ``listed``."""
+    entries = tuple(SessionEntry(peer, 0.5, 0.25, 0.04) for peer in listed)
+    group = proto.receivers[src].channels.session_group(za.zone_id)
+    return SessionPdu(src, group, 100, za.zone_id, 1.0, -1, -1.0, entries)
+
+
+def test_echo_closes_from_the_shared_index():
+    sim, net, h, proto, (root, za, zb) = build_two_level()
+    pdu = _zone_message(proto, za, src=1, listed=(2, 3))
+    sim.run(until=2.0)  # no session started: the clock just advances
+    for hearer in (2, 3):
+        proto.receivers[hearer].session.handle_session(pdu)
+    # rtt = now - peer_timestamp - elapsed, once per hearer, off one index.
+    assert proto.receivers[2].session.rtt.get(1) == pytest.approx(2.0 - 0.5 - 0.25)
+    assert proto.receivers[3].session.rtt.get(1) == pytest.approx(2.0 - 0.5 - 0.25)
+    assert set(pdu.echo_index()) == {2, 3}
+    # A hearer the message does not list records it but measures nothing.
+    other = _zone_message(proto, za, src=1, listed=(3,))
+    proto.receivers[2].session.rtt.forget(1)
+    proto.receivers[2].session.handle_session(other)
+    assert proto.receivers[2].session.rtt.get(1) is None
+    assert 1 in proto.receivers[2].session.rtt.heard_in_zone(za.zone_id)
+
+
+def test_echo_index_stays_out_of_pickle_and_describe():
+    # Packets cross shard pipes by pickle (engine/sharded.py): the index a
+    # hearer built in one process must not ride along to the next.
+    sim, net, h, proto, (root, za, zb) = build_two_level()
+    pdu = _zone_message(proto, za, src=1, listed=(2, 3))
+    before, described = pickle.dumps(pdu), pdu.describe()
+    proto.receivers[2].session.handle_session(pdu)
+    assert pdu._echo_index is not None  # the hearer did build it
+    assert pickle.dumps(pdu) == before  # same bytes, so the same length
+    assert pdu.describe() == described
+    clone = pickle.loads(pickle.dumps(pdu))
+    assert clone._echo_index is None
+    assert (clone.uid, clone.src, clone.entries) == (pdu.uid, pdu.src, pdu.entries)
+    assert clone.echo_index() == pdu.echo_index()  # rebuilt on the far side

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SharqfecConfig
 from repro.core.pdus import SessionEntry, SessionPdu
@@ -173,3 +177,107 @@ def test_own_messages_ignored():
         make_session_pdu(channels, zc.zone_id, src=session.node_id, zcr_id=1)
     )
     assert session.messages_received == before
+
+
+# ------------------------------------------- receive-path equivalences
+
+
+def test_receive_participation_matches_participation_zones():
+    """handle_session echoes (records the sender as heard) in exactly the
+    zones participation_zones() sends to, under every ZCR belief."""
+    beliefs = (None, 5, 4)  # unknown / me / someone else
+    for zc_zcr, zb_zcr, root_zcr in itertools.product(beliefs, repeat=3):
+        sim, net, h, channels, session, zones = three_level_session()
+        root, zb, zc = zones
+        for zone, zcr in ((zc, zc_zcr), (zb, zb_zcr), (root, root_zcr)):
+            session.zcr_ids[zone.zone_id] = zcr
+        expected = {z.zone_id for z in session.participation_zones()}
+        for zone in zones:
+            session.handle_session(make_session_pdu(channels, zone.zone_id, src=3))
+        heard = {z.zone_id for z in zones if 3 in session.rtt.heard_in_zone(z.zone_id)}
+        assert heard == expected, (zc_zcr, zb_zcr, root_zcr)
+    # A zone outside our chain is counted as received and otherwise ignored.
+    session.handle_session(
+        SessionPdu(3, channels.session_group(root.zone_id), 100, 9999, 0.0, 3, 0.01, ())
+    )
+    assert session.rtt.heard_in_zone(9999) == {}
+    assert 9999 not in session.zcr_ids
+
+
+def _fold_oracle(session, zone_id, pdu, log):
+    """The zone-metadata fold as it read before the settled-belief fast
+    path: every branch spelled out, hooks decided from before/after."""
+    zcr_ids, parent_rtts = session.zcr_ids, session.zcr_parent_rtt
+    believed = zcr_ids.get(zone_id)
+    before_rtt = parent_rtts.get(zone_id)
+    our_epoch = session.zcr_epoch.get(zone_id, 0)
+    if believed is None or pdu.zcr_epoch > our_epoch:
+        zcr_ids[zone_id] = pdu.zcr_id
+        session.zcr_epoch[zone_id] = pdu.zcr_epoch
+        if pdu.zcr_parent_rtt >= 0:
+            parent_rtts[zone_id] = pdu.zcr_parent_rtt
+    elif pdu.zcr_epoch == our_epoch:
+        if pdu.zcr_id == believed:
+            if pdu.zcr_parent_rtt >= 0:
+                parent_rtts[zone_id] = pdu.zcr_parent_rtt
+        elif pdu.zcr_parent_rtt >= 0:
+            ours = before_rtt
+            if ours is None or pdu.zcr_parent_rtt < ours - 1e-9 or (
+                abs(pdu.zcr_parent_rtt - ours) <= 1e-9 and pdu.zcr_id < believed
+            ):
+                zcr_ids[zone_id] = pdu.zcr_id
+                parent_rtts[zone_id] = pdu.zcr_parent_rtt
+    after_zcr = zcr_ids.get(zone_id)
+    if after_zcr != believed or parent_rtts.get(zone_id) != before_rtt:
+        log.append(("change", zone_id))
+        if believed != after_zcr:
+            log.append(("role", zone_id))
+
+
+_gossip = st.lists(
+    st.tuples(
+        st.sampled_from([-1, 2, 3, 4]),  # advertised ZCR (-1: none)
+        st.integers(0, 2),  # its election epoch
+        st.sampled_from([-1.0, 0.02, 0.02 + 5e-10, 0.05]),  # parent distance
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gossip)
+def test_belief_fold_matches_the_spelled_out_rule(messages):
+    sim, net, h, channels, session, (root, zb, zc) = three_level_session()
+    _, _, _, _, oracle, _ = three_level_session()
+    log, oracle_log = [], []
+    session.on_zcr_change = lambda z: log.append(("change", z))
+    session.on_role_change = lambda z: log.append(("role", z))
+    for zcr_id, epoch, parent_rtt in messages:
+        pdu = make_session_pdu(channels, zc.zone_id, src=4, zcr_id=zcr_id,
+                               parent_rtt=parent_rtt, epoch=epoch)
+        session.handle_session(pdu)
+        if zcr_id >= 0:
+            _fold_oracle(oracle, zc.zone_id, pdu, oracle_log)
+        assert log == oracle_log
+        assert session.zcr_ids == oracle.zcr_ids
+        assert session.zcr_epoch == oracle.zcr_epoch
+        assert session.zcr_parent_rtt == oracle.zcr_parent_rtt
+
+
+def test_settled_belief_repeated_fires_no_hook():
+    sim, net, h, channels, session, (root, zb, zc) = three_level_session()
+    log = []
+    session.on_zcr_change = lambda z: log.append("change")
+    session.on_role_change = lambda z: log.append("role")
+    said = dict(src=4, zcr_id=4, parent_rtt=0.05, epoch=1)
+    session.handle_session(make_session_pdu(channels, zc.zone_id, **said))
+    assert log == ["change", "role"]
+    for _ in range(3):
+        session.handle_session(make_session_pdu(channels, zc.zone_id, **said))
+    said["parent_rtt"] = -1.0  # a peer that knows the ZCR but not its distance
+    session.handle_session(make_session_pdu(channels, zc.zone_id, **said))
+    assert log == ["change", "role"]
+    said["parent_rtt"] = 0.06  # the distance moved: election hook only
+    session.handle_session(make_session_pdu(channels, zc.zone_id, **said))
+    assert log == ["change", "role", "change"]
+    assert session.zcr_parent_rtt[zc.zone_id] == pytest.approx(0.06)

@@ -79,6 +79,19 @@ def test_national_workers_match_reference(tmp_path):
         assert trace == ref_trace, f"trace diverged at workers={workers}"
 
 
+def test_session_echo_index_never_crosses_a_shard_pipe(tmp_path):
+    """Hearers share one ``peer_id -> entry`` index per session PDU.  In
+    the reference engine a PDU reaches the next logical shard as the same
+    object, index and all; between worker processes it is pickled, which
+    drops the index, and the far side builds its own.  Same bytes out."""
+    spec = _small_national_spec(seed=3)
+    reference = run_reference(spec)
+    assert reference.completion == 1.0
+    merged = run_sharded(spec, workers=2)
+    assert merged.events == reference.events
+    assert _exports(merged, tmp_path, "w2") == _exports(reference, tmp_path, "ref")
+
+
 def test_national_fault_plan_matches(tmp_path):
     """Equivalence must survive burst loss *and* a boundary-link flap.
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.monitor import PacketEvent, TrafficMonitor
+from repro.obs.binning import BOUNDARY_RTOL, bin_index
 
 
 def ev(time, node, kind="DATA", size=1000, subscriber=True):
@@ -133,6 +138,109 @@ def test_send_and_drop_use_same_binning():
     mon.on_drop(ev(0.3, 1))
     assert mon.send_series(["DATA"], 1) == [0, 0, 0, 1]
     assert mon.drop_series(["DATA"], 1) == [0, 0, 0, 1]
+
+
+# The monitor keeps the last bin's window and asks bin_index again only when
+# a time leaves it; bin_index stays the one definition of "which bin".
+
+
+@st.composite
+def _times(draw):
+    """Times that stress the window's edges, in any order.
+
+    Around a boundary ``k*width`` the snap band is ``BOUNDARY_RTOL*max(1, k)``
+    bins wide on each side, so it scales with ``k``: at ``t > 1e4 s`` it is
+    ~1e-4 bins, far more than any fixed margin.
+    """
+    width = draw(st.sampled_from([0.1, 0.25, 1.0, 0.003]))
+    # A few boundaries per case, so a sequence keeps coming back to the
+    # window it has just entered from either side.
+    ks = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, 50),
+                st.integers(10**5, 10**5 + 50),  # t > 1e4 s at width 0.1
+                st.integers(10**8, 10**8 + 3),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+
+    def near_boundary(k):
+        band = BOUNDARY_RTOL * max(1, k)
+        offsets = st.one_of(
+            st.just(0.0),
+            st.sampled_from([-2.5, -2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 2.5]).map(
+                lambda m: m * band
+            ),
+            st.floats(-3.0 * band, 3.0 * band),
+            st.floats(-1.0, 1.0),  # and anywhere in the two bins around it
+        )
+        return offsets.map(lambda off: (k + off) * width)
+
+    near = st.sampled_from(ks).flatmap(near_boundary)
+    anywhere = st.floats(-5.0, 2.0e7, allow_nan=False)
+    times = draw(st.lists(st.one_of(near, near, anywhere), min_size=1, max_size=40))
+    # Runs of repeats and small steps keep the window in use between jumps.
+    if draw(st.booleans()):
+        times = [t + i * width / 7.0 for t in times for i in range(3)]
+    return width, times
+
+
+@settings(max_examples=300, deadline=None)
+@given(_times(), st.sampled_from(["on_receive", "on_send", "on_drop"]))
+def test_windowed_binning_equals_bin_index(case, method):
+    width, times = case
+    mon = TrafficMonitor(bin_width=width)
+    expected = {}
+    for t in times:
+        getattr(mon, method)(ev(t, 1))
+        index = bin_index(t, width)
+        expected[index] = expected.get(index, 0) + 1
+    records = {
+        "on_receive": lambda: dict(mon.receive_records())[("DATA", 1)][0],
+        "on_send": lambda: dict(mon.send_records())[("DATA", 1)],
+        "on_drop": lambda: dict(mon.drop_records())[("DATA", 1)][0],
+    }[method]()
+    assert records == expected
+
+
+def test_window_is_shared_across_send_receive_and_drop():
+    # One window serves all three observer methods: each must still land
+    # in its own event's bin when they interleave across a boundary.
+    mon = TrafficMonitor(bin_width=0.1)
+    mon.on_receive(ev(0.25, 1))
+    mon.on_send(ev(0.35, 1))
+    mon.on_drop(ev(0.25, 1))
+    mon.on_receive(ev(0.3, 1))
+    assert mon.series(["DATA"], 1) == [0, 0, 1, 1]
+    assert mon.send_series(["DATA"], 1) == [0, 0, 0, 1]
+    assert mon.drop_series(["DATA"], 1) == [0, 0, 1]
+
+
+def test_window_margin_scales_with_time():
+    # Just below boundary k = 100001 (t ~ 1e4 s) the snap band is
+    # 1e-9 * k ~ 1e-4 bins.  A time inside it belongs to bin k, and must
+    # not be swallowed by the window of bin k - 1 entered just before.
+    width, k = 0.1, 100001
+    inside = (k - 0.5 * BOUNDARY_RTOL * k) * width
+    assert bin_index(inside, width) == k  # premise: it snaps up
+    assert math.floor(inside / width) == k - 1  # ... though it floors down
+    mon = TrafficMonitor(bin_width=width)
+    mon.on_receive(ev((k - 0.5) * width, 1))
+    mon.on_receive(ev(inside, 1))
+    assert dict(mon.receive_records())[("DATA", 1)][0] == {k - 1: 1, k: 1}
+
+
+def test_record_bulk_is_bin_exact_beside_the_window():
+    # record_bulk goes through bin_index per packet and neither reads nor
+    # moves the per-packet window.
+    mon = TrafficMonitor(bin_width=0.1)
+    mon.on_receive(ev(0.25, 1))
+    mon.record_bulk("recv", "DATA", 1, 0.0, 0.1, 0b1111, 1000)  # t = 0, .1, .2, .3
+    mon.on_receive(ev(0.26, 1))
+    assert mon.series(["DATA"], 1) == [1, 1, 3, 1]
 
 
 def test_t_end_on_boundary_yields_exactly_k_bins():

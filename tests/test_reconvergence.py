@@ -138,6 +138,46 @@ def test_crash_restart_receiver_recovers_within_bound():
     assert proto.receivers[3].nacks_sent > 0
 
 
+def test_revived_receiver_learns_trailing_group_from_extent_gossip():
+    """Receiver 3 crashes during the second-to-last FEC group and comes back
+    after ``data_end``: no packet of the last group ever reaches it, so only
+    the stream extent in its peers' session messages says the group exists.
+
+    A second, short outage follows the first advertisement it applies.  The
+    applied-extent watermark is a shortcut over pre-outage state; a restart
+    must clear it, so the advertisement heard next is applied afresh.
+    """
+    sim = Simulator(seed=27)
+    net = diamond(sim)
+    # 6 groups of 8 at 0.1 s per packet: group g spans 6.0 + 0.8 g onwards.
+    config = SharqfecConfig(n_packets=48, group_size=8, data_rate_bps=80e3)
+    proto = SharqfecProtocol(net, config, 0, [1, 2, 3])
+    proto.start(1.0, 6.0)
+    receiver = proto.receivers[3]
+    last = config.n_groups - 1
+    seen = {}
+
+    def note(label):
+        seen[label] = (receiver._extent_applied, sorted(receiver.groups))
+
+    sim.at(9.9, proto.crash_receiver, 3)  # inside group 4; group 5 starts at 10.0
+    sim.at(11.4, note, "down")
+    sim.at(11.5, proto.restart_receiver, 3)  # data ended at 10.8
+    sim.at(13.0, note, "gossiped")
+    sim.at(13.0, proto.crash_receiver, 3)
+    sim.at(13.2, proto.restart_receiver, 3)
+    sim.at(13.2, note, "revived")
+    sim.run(until=60.0)
+
+    assert last not in seen["down"][1]  # the outage hid the group entirely
+    assert seen["gossiped"] == (last, list(range(last + 1)))  # gossip revealed it
+    assert seen["revived"][0] == -1  # fails if the watermark survives restart()
+    assert receiver._extent_applied == last  # ... and gossip was applied again
+    assert receiver.groups[last].data_count == 0  # rebuilt from repairs alone
+    assert_eventual_delivery(proto)
+    assert_no_duplicate_delivery(proto)
+
+
 def test_leave_then_rejoin_resynchronizes():
     sim = Simulator(seed=26)
     net = diamond(sim)

@@ -136,11 +136,12 @@ ALL_PDU_CLASSES = {
 
 
 def _protocol_fields(pdu):
-    """Every slot attribute across the MRO except the per-process uid."""
+    """Every slot attribute across the MRO except per-process state: the
+    uid and the session echo index (a cache, never encoded)."""
     names = []
     for klass in type(pdu).__mro__:
         names.extend(getattr(klass, "__slots__", ()))
-    return {n: getattr(pdu, n) for n in names if n != "uid"}
+    return {n: getattr(pdu, n) for n in names if n not in ("uid", "_echo_index")}
 
 
 def assert_roundtrip(pdu):
@@ -230,6 +231,30 @@ def test_corrupt_entry_count_rejected():
         decode(bytes(frame))
 
 
+def _session_with(entries):
+    return SessionPdu(8, 9, 220, 9, 12.125, 4, 0.034, tuple(entries), 2, 17)
+
+
+def test_duplicate_session_peer_rejected():
+    # Two rows about peer 2: a hearer could not tell which echo closes its
+    # RTT loop.  The encoder frames what it is given; the decoder refuses.
+    rows = (
+        SessionEntry(2, 11.5, 0.625, 0.041),
+        SessionEntry(3, 11.75, 0.375, -1.0),
+        SessionEntry(2, 11.9, 0.225, 0.043),
+    )
+    with pytest.raises(WireError, match="more than once"):
+        decode(encode(_session_with(rows)))
+    assert_roundtrip(_session_with(rows[:2]))
+
+
+def test_duplicate_session_peer_refused_in_process_too():
+    # The simulator never encodes, so the shared index refuses on its own.
+    pdu = _session_with([SessionEntry(2, 1.0, 0.1, 0.04), SessionEntry(2, 2.0, 0.1, 0.04)])
+    with pytest.raises(ValueError, match="more than once"):
+        pdu.echo_index()
+
+
 def test_frame_decoding_to_invalid_packet_rejected():
     # size_bytes == 0 violates the Packet constructor; the codec surfaces
     # that as a WireError rather than a bare ValueError.
@@ -271,7 +296,9 @@ rtt_chains = st.tuples() | st.lists(
     st.builds(RttChainEntry, i32, i32, finite), max_size=8
 ).map(tuple)
 session_entries = st.lists(
-    st.builds(SessionEntry, i32, finite, finite, finite), max_size=8
+    st.builds(SessionEntry, i32, finite, finite, finite),
+    max_size=8,
+    unique_by=lambda e: e.peer_id,  # one echo per peer; duplicates are refused
 ).map(tuple)
 srm_entries = st.lists(
     st.builds(SrmSessionEntry, i32, finite, finite), max_size=8
@@ -308,6 +335,35 @@ def test_truncation_property(pdu, data):
     cut = data.draw(st.integers(0, len(frame) - 1))
     with pytest.raises(WireError):
         decode(frame[:cut])
+
+
+@settings(max_examples=100, deadline=None)
+@given(session_entries.filter(len), st.data())
+def test_duplicate_session_peer_property(entries, data):
+    # Any row repeated under any peer already present, at any position.
+    victim = data.draw(st.sampled_from(entries))
+    extra = data.draw(st.builds(SessionEntry, st.just(victim.peer_id), finite, finite, finite))
+    at = data.draw(st.integers(0, len(entries)))
+    with pytest.raises(WireError, match="more than once"):
+        decode(encode(_session_with(entries[:at] + (extra,) + entries[at:])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(session_entries, st.lists(i32, max_size=4))
+def test_echo_index_equals_scan(entries, strangers):
+    # The per-PDU index answers exactly what the row-by-row scan it
+    # replaced answered, for listed peers and for absent ones, and a
+    # decoded copy builds the same index.
+    pdu = _session_with(entries)
+    clone = decode(encode(pdu))
+    for peer in [e.peer_id for e in entries] + strangers:
+        scanned = [e for e in entries if e.peer_id == peer]
+        assert len(scanned) <= 1
+        expected = scanned[0] if scanned else None
+        assert pdu.echo_index().get(peer) == expected
+        assert clone.echo_index().get(peer) == expected
+    assert pdu.echo_index() is pdu.echo_index()  # built once, then shared
+    assert encode(pdu) == encode(_session_with(entries))  # and never framed
 
 
 @settings(max_examples=100, deadline=None)
