@@ -13,7 +13,7 @@ from repro.experiments import traffic_sim
 
 def test_fig14_data_repair_srm_vs_ecsrm(benchmark, n_packets, seed):
     fig = benchmark.pedantic(
-        traffic_sim.fig14, kwargs={"n_packets": n_packets, "seed": seed},
+        traffic_sim.figure, args=("fig14",), kwargs={"n_packets": n_packets, "seed": seed},
         rounds=1, iterations=1,
     )
     print()

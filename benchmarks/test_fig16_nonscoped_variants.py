@@ -13,7 +13,7 @@ from repro.experiments import traffic_sim
 
 def test_fig16_nonscoped_variants(benchmark, n_packets, seed):
     fig = benchmark.pedantic(
-        traffic_sim.fig16, kwargs={"n_packets": n_packets, "seed": seed},
+        traffic_sim.figure, args=("fig16",), kwargs={"n_packets": n_packets, "seed": seed},
         rounds=1, iterations=1,
     )
     print()
@@ -30,7 +30,7 @@ def test_fig16_nonscoped_variants(benchmark, n_packets, seed):
     # And both are worse than sender-only ECSRM (the paper's point): compare
     # against the cached ECSRM run from the same parameter set.
     ecsrm = series_stats(
-        traffic_sim.fig14(n_packets=n_packets, seed=seed).series["SHARQFEC(ns,ni,so)"]
+        traffic_sim.figure("fig14", n_packets=n_packets, seed=seed).series["SHARQFEC(ns,ni,so)"]
     )
     assert nsni.total > ecsrm.total
     assert ns.total > ecsrm.total

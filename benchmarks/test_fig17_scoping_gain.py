@@ -12,7 +12,7 @@ from repro.experiments import traffic_sim
 
 def test_fig17_scoping_gain(benchmark, n_packets, seed):
     fig = benchmark.pedantic(
-        traffic_sim.fig17, kwargs={"n_packets": n_packets, "seed": seed},
+        traffic_sim.figure, args=("fig17",), kwargs={"n_packets": n_packets, "seed": seed},
         rounds=1, iterations=1,
     )
     print()

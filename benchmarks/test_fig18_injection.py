@@ -12,7 +12,7 @@ from repro.experiments import traffic_sim
 
 def test_fig18_injection_no_bandwidth_increase(benchmark, n_packets, seed):
     fig = benchmark.pedantic(
-        traffic_sim.fig18, kwargs={"n_packets": n_packets, "seed": seed},
+        traffic_sim.figure, args=("fig18",), kwargs={"n_packets": n_packets, "seed": seed},
         rounds=1, iterations=1,
     )
     print()

@@ -12,7 +12,7 @@ from repro.experiments import traffic_sim
 
 def test_fig19_nack_suppression(benchmark, n_packets, seed):
     fig = benchmark.pedantic(
-        traffic_sim.fig19, kwargs={"n_packets": n_packets, "seed": seed},
+        traffic_sim.figure, args=("fig19",), kwargs={"n_packets": n_packets, "seed": seed},
         rounds=1, iterations=1,
     )
     print()

@@ -13,7 +13,7 @@ from repro.experiments import traffic_sim
 
 def test_fig20_source_traffic(benchmark, n_packets, seed):
     fig = benchmark.pedantic(
-        traffic_sim.fig20, kwargs={"n_packets": n_packets, "seed": seed},
+        traffic_sim.figure, args=("fig20",), kwargs={"n_packets": n_packets, "seed": seed},
         rounds=1, iterations=1,
     )
     print()

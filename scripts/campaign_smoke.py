@@ -1,10 +1,13 @@
 """Campaign-runner smoke check (CI job ``campaign-smoke``).
 
 Drives the declarative campaign pipeline end to end at smoke scale — a
-2-protocol × 3-seed Figure-14 grid — entirely through the public CLI:
+2-scenario × 2-protocol × 3-seed Figure-14 grid — entirely through the
+public CLI:
 
-1. **Run**: ``sharqfec campaign run`` executes the grid in parallel and
-   the same invocation repeated must skip every cell (resumability).
+1. **Run**: ``sharqfec campaign run`` executes the grid in parallel —
+   the second scenario crashes and restarts a receiver mid-stream, and
+   every one of its cells must complete — and the same invocation
+   repeated must skip every cell (resumability).
 2. **Report**: ``sharqfec campaign report`` emits ``report.json`` /
    ``report.md`` with per-cell confidence intervals.
 3. **Fidelity**: the campaign's seed-1 SHARQFEC cell must reproduce a
@@ -34,7 +37,15 @@ SPEC = {
     "protocols": PROTOCOLS,
     "seeds": SEEDS,
     "packets": PACKETS,
-    "scenarios": [{"name": "baseline"}],
+    "scenarios": [
+        {"name": "baseline"},
+        {
+            "name": "crash",
+            "faults": [
+                {"kind": "crash_restart", "time": 6.02, "node": 11, "down_for": 0.5}
+            ],
+        },
+    ],
 }
 
 
@@ -59,8 +70,10 @@ def main() -> int:
         assert rc == 0, f"campaign run exited {rc}"
         index = json.load(open(os.path.join(out_dir, "campaign.json")))
         done = [e for e in index["runs"].values() if e["status"] == "done"]
-        assert len(done) == len(PROTOCOLS) * len(SEEDS), index["runs"]
-        print(f"ran {len(done)} cells")
+        assert len(done) == len(SPEC["scenarios"]) * len(PROTOCOLS) * len(SEEDS), index["runs"]
+        churned = [key for key in index["runs"] if key.startswith("crash/")]
+        assert len(churned) == len(PROTOCOLS) * len(SEEDS), churned
+        print(f"ran {len(done)} cells, {len(churned)} of them under receiver churn")
 
         # Resumability: the identical invocation must simulate nothing.
         rc = cli_main(run_argv)
@@ -73,7 +86,7 @@ def main() -> int:
         assert rc == 0, f"campaign report exited {rc}"
         report = json.load(open(os.path.join(out_dir, "report.json")))
         assert os.path.exists(os.path.join(out_dir, "report.md"))
-        assert len(report["cells"]) == len(PROTOCOLS)
+        assert len(report["cells"]) == len(SPEC["scenarios"]) * len(PROTOCOLS)
         for cell in report["cells"]:
             assert cell["seeds"] == SEEDS, cell
             comp = cell["completion"]
@@ -120,7 +133,10 @@ def main() -> int:
             sum((s[i] if i < len(s) else 0.0) for s in per_seed) / len(per_seed)
             for i in range(width)
         ]
-        cell = next(c for c in report["cells"] if c["protocol"] == proto)
+        cell = next(
+            c for c in report["cells"]
+            if (c["scenario"], c["protocol"]) == ("baseline", proto)
+        )
         got = cell["series"]["data_repair"]["mean"]
         assert len(got) == len(expected), (len(got), len(expected))
         worst = max(

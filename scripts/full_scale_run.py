@@ -40,9 +40,9 @@ def main() -> None:
         }
         print(f"{fig} done in {time.time() - t0:.1f}s", flush=True)
 
-    for fig_name in ("fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21"):
+    for fig_name in traffic_sim.FIGURES:
         t0 = time.time()
-        fig = getattr(traffic_sim, fig_name)(n_packets=PACKETS, seed=SEED)
+        fig = traffic_sim.figure(fig_name, n_packets=PACKETS, seed=SEED)
         entry = {"curves": {}, "wall": time.time() - t0}
         for label, series in fig.series.items():
             st = series_stats(series)

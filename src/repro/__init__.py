@@ -18,9 +18,7 @@ stays cheap) and frozen in ``__all__``::
     ...
 
 Everything else under ``repro.*`` is implementation detail and may move
-between releases; names that *have* moved keep ``DeprecationWarning``
-shims at their old locations for one release (e.g. ``agent.sim`` →
-``agent.clock`` after the Clock/Transport split).
+between releases.
 
 Subpackages:
 

@@ -103,22 +103,9 @@ def cell_paths(spec: CampaignSpec, cell: RunCell) -> Tuple[str, Optional[str]]:
 def _execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
     """Run one cell (module-level so process pools can pickle it)."""
     spec = spec_from_dict(payload["spec"])  # type: ignore[arg-type]
-    out_dir = str(payload["out_dir"])
-    cell = RunCell(
-        scenario=str(payload["scenario"]),
-        protocol=str(payload["protocol"]),
-        seed=int(payload["seed"]),  # type: ignore[arg-type]
-        packets=spec.packets,
-        drain=spec.drain,
-    )
-    scenario = spec.scenario(cell.scenario)
-    plan = scenario.fault_plan()
-    scenario_dir = os.path.join(out_dir, RUNS_DIR, cell.scenario)
-    obs = ObservabilityOptions(
-        metrics_dir=scenario_dir,
-        trace_dir=scenario_dir if spec.capture_trace else None,
-    )
+    cell = RunCell(**payload["cell"])  # type: ignore[arg-type]
     metrics_rel, trace_rel = cell_paths(spec, cell)
+    scenario_dir = os.path.join(str(payload["out_dir"]), RUNS_DIR, cell.scenario)
     outcome: Dict[str, object] = {
         "scenario": cell.scenario,
         "protocol": cell.protocol,
@@ -133,20 +120,22 @@ def _execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
             n_packets=cell.packets,
             seed=cell.seed,
             drain=cell.drain,
-            fault_plan=plan,
-            obs=obs,
+            fault_plan=spec.scenario(cell.scenario).fault_plan(),
+            obs=ObservabilityOptions(
+                metrics_dir=scenario_dir,
+                trace_dir=scenario_dir if spec.capture_trace else None,
+            ),
         )
-    except Exception as exc:  # the partial export is already on disk
-        outcome.update(status="failed", error=f"{type(exc).__name__}: {exc}")
-        return outcome
-    outcome.update(
+    except Exception as exc:  # whatever the run observed is already on disk
+        return dict(outcome, status="failed", error=f"{type(exc).__name__}: {exc}")
+    return dict(
+        outcome,
         status="done",
         completion=result.completion,
         nacks_sent=result.nacks_sent,
         events=result.events,
         wall_seconds=result.wall_seconds,
     )
-    return outcome
 
 
 def load_index(out_dir: str) -> Optional[Dict[str, object]]:
@@ -258,13 +247,7 @@ def run_campaign(
             )
 
     payloads = [
-        {
-            "spec": spec.to_dict(),
-            "out_dir": out_dir,
-            "scenario": cell.scenario,
-            "protocol": cell.protocol,
-            "seed": cell.seed,
-        }
+        {"spec": spec.to_dict(), "out_dir": out_dir, "cell": dataclasses.asdict(cell)}
         for cell in pending
     ]
     if workers is None:

@@ -40,12 +40,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CampaignError, ConfigError, FaultError
-from repro.experiments.common import (
-    DEFAULT_DRAIN,
-    run_slug,
-    variant_config,
-)
 from repro.faults.plan import FaultPlan
+from repro.scenario import DEFAULT_DRAIN, run_slug, variant_config
 
 #: FaultPlan builder methods a declarative fault step may name.
 FAULT_STEP_KINDS = frozenset(

@@ -29,7 +29,7 @@ from repro.core.zcr import ZcrElection
 from repro.net.packet import Packet
 from repro.scoping.channels import ScopedChannels
 from repro.sim.timers import Timer
-from repro.transport.api import Clock, Transport, deprecated_alias
+from repro.transport.api import Clock, Transport
 
 
 class SharqfecEndpoint:
@@ -98,10 +98,6 @@ class SharqfecEndpoint:
             self._nack_start_index = len(self.zone_ids) - 1
         else:
             self._nack_start_index = 0
-
-    # Names from before the Clock/Transport split (PR 9); reads warn.
-    sim = deprecated_alias("sim", "clock")
-    network = deprecated_alias("network", "transport")
 
     # -------------------------------------------------------------- lifecycle
 

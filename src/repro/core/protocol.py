@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.churn import ReceiverChurn
 from repro.core.config import SharqfecConfig
 from repro.core.receiver import SharqfecReceiver
 from repro.core.sender import SharqfecSender
@@ -32,7 +33,36 @@ def _remote_member_handler(packet: Packet) -> None:
     )
 
 
-class SharqfecProtocol:
+class GroupCompletion:
+    """Completion over ``self.receivers`` in units of ``config.n_groups``."""
+
+    config: SharqfecConfig
+    receivers: Dict[int, SharqfecReceiver]
+
+    def completion_fraction(self) -> float:
+        """Fraction of (receiver, group) pairs fully reconstructed."""
+        total = len(self.receivers) * self.config.n_groups
+        if total == 0:
+            return 1.0
+        done = sum(r.groups_complete() for r in self.receivers.values())
+        return done / total
+
+    def all_complete(self) -> bool:
+        """True when every receiver reconstructed every group."""
+        return all(
+            r.all_complete(self.config.n_groups) for r in self.receivers.values()
+        )
+
+    def incomplete_receivers(self) -> List[int]:
+        """Receiver ids still missing at least one group."""
+        return [
+            rid
+            for rid, r in self.receivers.items()
+            if not r.all_complete(self.config.n_groups)
+        ]
+
+
+class SharqfecProtocol(ReceiverChurn, GroupCompletion):
     """One SHARQFEC session over a simulated network."""
 
     def __init__(
@@ -139,74 +169,11 @@ class SharqfecProtocol:
         for receiver in self.receivers.values():
             receiver.stop()
 
-    # ------------------------------------------------------------------ churn
-
-    def _receiver(self, node_id: int) -> SharqfecReceiver:
-        try:
-            return self.receivers[node_id]
-        except KeyError:
-            raise ConfigError(
-                f"node {node_id} is not a receiver of this session"
-            ) from None
-
-    def defer_receiver(self, node_id: int) -> None:
-        """Hold a receiver out of the session until :meth:`join_receiver`.
-
-        Call before :meth:`start` to model a member that joins late rather
-        than from t=0.
-        """
-        self._receiver(node_id).stop()
-
-    def join_receiver(self, node_id: int) -> None:
-        """(Re)join a deferred, crashed, or departed receiver.
-
-        The agent subscribes its scoped channels and resynchronizes via the
-        late-join/restart machinery (stream-extent gossip, scope-escalating
-        requests).
-        """
-        self._receiver(node_id).restart()
-
-    def leave_receiver(self, node_id: int) -> None:
-        """Cleanly remove a receiver: silence it and unsubscribe its
-        channels, so multicast trees stop reaching its node."""
-        self._receiver(node_id).leave()
-
-    def crash_receiver(self, node_id: int) -> None:
-        """Crash a receiver's process mid-run (its node keeps routing)."""
-        self._receiver(node_id).crash()
-
-    def restart_receiver(self, node_id: int) -> None:
-        """Restart a crashed receiver; it rebuilds LDP/RP state from the
-        scoped repair channels (see ``SharqfecReceiver.restart``)."""
-        self._receiver(node_id).restart()
-
     # ------------------------------------------------------------- statistics
 
     def data_end_time(self, data_start: float = 6.0) -> float:
         """When the CBR stream finishes."""
         return data_start + self.config.n_packets * self.config.inter_packet_interval
-
-    def completion_fraction(self) -> float:
-        """Fraction of (receiver, group) pairs fully reconstructed."""
-        total = len(self.receivers) * self.config.n_groups
-        if total == 0:
-            return 1.0
-        done = sum(r.groups_complete() for r in self.receivers.values())
-        return done / total
-
-    def all_complete(self) -> bool:
-        """True when every receiver reconstructed every group."""
-        return all(
-            r.all_complete(self.config.n_groups) for r in self.receivers.values()
-        )
-
-    def incomplete_receivers(self) -> List[int]:
-        """Receiver ids still missing at least one group."""
-        return [
-            rid
-            for rid, r in self.receivers.items()
-            if not r.all_complete(self.config.n_groups)
-        ]
 
     def total_nacks_sent(self) -> int:
         """NACK transmissions summed over receivers."""

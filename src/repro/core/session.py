@@ -23,7 +23,7 @@ from repro.core.rtt import RttTable
 from repro.scoping.channels import ScopedChannels
 from repro.scoping.zone import Zone
 from repro.sim.timers import Timer
-from repro.transport.api import Clock, Transport, deprecated_alias
+from repro.transport.api import Clock, Transport
 
 
 class SessionManager:
@@ -89,10 +89,6 @@ class SessionManager:
         # Optional (group_id) -> None invoked when a peer advertises a
         # stream extent; receivers use it for tail-loss/churn resync.
         self.on_stream_extent = None  # type: ignore[assignment]
-
-    # Names from before the Clock/Transport split (PR 9); reads warn.
-    sim = deprecated_alias("sim", "clock")
-    network = deprecated_alias("network", "transport")
 
     # -------------------------------------------------------------- lifecycle
 

@@ -9,51 +9,40 @@ minimum boundary latency gives a conservative synchronization window.
 * :mod:`repro.engine.sync` — window schedule + message ordering (pure).
 * :mod:`repro.engine.runner` — one shard's world; result merging.
 * :mod:`repro.engine.sharded` — the in-process reference engine and the
-  multiprocessing engine; merged JSONL export.
+  multiprocessing engine.
+
+What a run *is* (:class:`repro.scenario.RunSpec`), how one shard's world is
+assembled and what a merged run exports all live in :mod:`repro.scenario`,
+shared with the single-simulator harness.
 
 See ``docs/SCALING.md`` for the protocol and its determinism guarantees.
 """
 
 from repro.engine.partition import BoundaryLink, LogicalShard, ShardPlan, plan_shards
 from repro.engine.runner import (
-    BuiltModel,
     LogicalShardRunner,
     MergedRun,
     ShardResult,
-    ShardedRunSpec,
-    build_model,
     merge_results,
     plan_for_spec,
 )
-from repro.engine.sharded import (
-    export_merged_metrics,
-    export_merged_trace,
-    run_reference,
-    run_sharded,
-    sharded_manifest,
-)
+from repro.engine.sharded import run_reference, run_sharded
 from repro.engine.sync import CrossShardMessage, containing_window, message_sort_key, window_ends
 
 __all__ = [
     "BoundaryLink",
-    "BuiltModel",
     "CrossShardMessage",
     "LogicalShard",
     "LogicalShardRunner",
     "MergedRun",
     "ShardPlan",
     "ShardResult",
-    "ShardedRunSpec",
-    "build_model",
     "containing_window",
-    "export_merged_metrics",
-    "export_merged_trace",
     "merge_results",
     "message_sort_key",
     "plan_for_spec",
     "plan_shards",
     "run_reference",
     "run_sharded",
-    "sharded_manifest",
     "window_ends",
 ]

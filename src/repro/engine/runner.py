@@ -18,105 +18,38 @@ snapshot, serialized trace dicts and scalar totals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.protocol import SharqfecProtocol
 from repro.engine.partition import LogicalShard, ShardPlan, plan_shards
 from repro.engine.sync import CrossShardMessage, message_sort_key
 from repro.errors import EngineError
-from repro.experiments.common import variant_config
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import CHURN_KINDS, FaultPlan
+from repro.faults.plan import CHURN_KINDS
 from repro.net.monitor import TrafficMonitor
-from repro.net.network import Network
 from repro.obs.export import trace_record_to_dict
-from repro.obs.recorder import RunObserver
 from repro.obs.registry import MetricsRegistry
-from repro.scoping.zone import ZoneHierarchy
+from repro.scenario import RunRecord, RunSpec, World, build_topology, run_record
 from repro.sim.scheduler import Simulator
 
 
-@dataclass(frozen=True)
-class ShardedRunSpec:
-    """A fully picklable description of one run (workers rebuild it all).
+def plan_for_spec(spec: RunSpec) -> ShardPlan:
+    """The spec's shard decomposition (built on a scratch simulator).
 
-    ``topology_params`` is a tuple of ``(key, value)`` pairs passed to the
-    topology builder (kept as a tuple so the spec hashes and pickles).
+    Also where the windowed drivers refuse what only they cannot run:
+    every shard replicates the whole tree membership, so receiver churn
+    (which mutates it) has no sharded meaning.
     """
-
-    topology: str = "figure10"
-    protocol: str = "SHARQFEC"
-    n_packets: int = 64
-    seed: int = 1
-    session_start: float = 1.0
-    data_start: float = 6.0
-    drain: float = 10.0
-    bin_width: float = 0.1
-    topology_params: Tuple[Tuple[str, object], ...] = ()
-    fault_plan: Optional[FaultPlan] = None
-    capture_trace: bool = False
-    #: "packet" runs the reference engine; "hybrid" swaps in the
-    #: packet/flow fidelity protocol (see docs/HYBRID.md).  The hybrid
-    #: layer still honors the SHARQFEC_HYBRID env toggle at run time.
-    fidelity: str = "packet"
-
-    def validate(self) -> None:
-        if self.topology not in ("figure10", "national"):
-            raise EngineError(f"unknown topology {self.topology!r}")
-        if self.fidelity not in ("packet", "hybrid"):
-            raise EngineError(f"unknown fidelity {self.fidelity!r}")
-        if self.fault_plan is not None:
-            churn = [a for a in self.fault_plan.actions() if a.kind in CHURN_KINDS]
-            if churn:
-                raise EngineError(
-                    f"fault plan contains churn actions {sorted({a.kind for a in churn})}; "
-                    "receiver churn mutates tree membership and is not "
-                    "supported by the sharded engine"
-                )
-
-    @property
-    def data_end(self) -> float:
-        config = variant_config(self.protocol, self.n_packets)
-        return self.data_start + self.n_packets * config.inter_packet_interval
-
-    @property
-    def run_end(self) -> float:
-        return self.data_end + self.drain
-
-
-@dataclass
-class BuiltModel:
-    """A constructed topology plus the session roles on it."""
-
-    network: Network
-    hierarchy: ZoneHierarchy
-    source: int
-    receivers: List[int]
-
-
-def build_model(spec: ShardedRunSpec, sim: Simulator) -> BuiltModel:
-    """Build the spec's topology on ``sim`` (identical in every shard)."""
-    params = dict(spec.topology_params)
-    if spec.topology == "figure10":
-        from repro.topology.figure10 import build_figure10
-
-        fig = build_figure10(sim, **params)
-        return BuiltModel(fig.network, fig.hierarchy, fig.source, fig.receivers)
-    if spec.topology == "national":
-        from repro.topology.national import NationalParams, build_national_network
-
-        max_nodes = int(params.pop("max_nodes", 200_000))
-        nat = build_national_network(sim, NationalParams(**params), max_nodes=max_nodes)
-        return BuiltModel(nat.network, nat.hierarchy, nat.source, nat.receivers)
-    raise EngineError(f"unknown topology {spec.topology!r}")
-
-
-def plan_for_spec(spec: ShardedRunSpec) -> ShardPlan:
-    """The spec's shard decomposition (built on a scratch simulator)."""
-    spec.validate()
-    sim = Simulator(seed=spec.seed)
-    model = build_model(spec, sim)
-    return plan_shards(model.hierarchy, model.network.adjacency())
+    if spec.fault_plan is not None:
+        churn = sorted(
+            {a.kind for a in spec.fault_plan.actions() if a.kind in CHURN_KINDS}
+        )
+        if churn:
+            raise EngineError(
+                f"fault plan contains churn actions {churn}; receiver churn "
+                "mutates tree membership and is not supported by the sharded "
+                "engine (run_traffic's single simulator accepts it)"
+            )
+    topo = build_topology(spec, Simulator(seed=spec.seed))
+    return plan_shards(topo.hierarchy, topo.network.adjacency())
 
 
 @dataclass
@@ -125,7 +58,9 @@ class ShardResult:
 
     index: int
     key: str
-    n_receivers: int
+    #: The session source (replicated) and the receivers this shard owns.
+    source: int
+    receivers: List[int]
     groups_complete: int
     nacks: int
     events: int
@@ -139,45 +74,14 @@ class ShardResult:
 class LogicalShardRunner:
     """One logical shard's simulator, protocol slice and observers."""
 
-    def __init__(self, spec: ShardedRunSpec, plan: ShardPlan, shard: LogicalShard) -> None:
+    def __init__(self, spec: RunSpec, plan: ShardPlan, shard: LogicalShard) -> None:
         self.spec = spec
         self.plan = plan
         self.shard = shard
         self.outbox: List[CrossShardMessage] = []
         self._seq = 0
         self.sim = Simulator(seed=spec.seed)
-        model = build_model(spec, self.sim)
-        self.network = model.network
-        self.network.set_partition(shard.nodes, self._on_boundary, shard.loss_stream)
-        self.monitor = TrafficMonitor(bin_width=spec.bin_width)
-        self.network.add_observer(self.monitor)
-        # Fault injections and reconvergence fire identically in every
-        # shard (the plan is replicated); only shard 0's observer records
-        # them, so merged counters match a single-engine run.
-        self.observer = RunObserver(
-            self.sim,
-            bin_width=spec.bin_width,
-            capture_trace=spec.capture_trace,
-            global_events=(shard.index == 0),
-        ).attach()
-        config = variant_config(spec.protocol, spec.n_packets)
-        if spec.fidelity == "hybrid":
-            from repro.hybrid import HybridSharqfecProtocol
-
-            protocol_cls = HybridSharqfecProtocol
-        else:
-            protocol_cls = SharqfecProtocol
-        self.protocol = protocol_cls(
-            self.network,
-            config,
-            model.source,
-            model.receivers,
-            model.hierarchy,
-            local_nodes=shard.nodes,
-        )
-        self.protocol.start(spec.session_start, spec.data_start)
-        if spec.fault_plan is not None:
-            FaultInjector(self.network, spec.fault_plan).arm()
+        self.world = World(spec, self.sim, shard=shard, on_boundary=self._on_boundary)
 
     # ------------------------------------------------------------- windowing
 
@@ -198,7 +102,7 @@ class LogicalShardRunner:
         the lookahead window was unsafe.
         """
         call_at = self.sim.call_at
-        deliver = self.network.deliver_remote
+        deliver = self.world.network.deliver_remote
         for message in sorted(messages, key=message_sort_key):
             call_at(message.arrival, deliver, message.packet, message.node)
 
@@ -213,31 +117,35 @@ class LogicalShardRunner:
     # --------------------------------------------------------------- results
 
     def finish(self) -> ShardResult:
-        self.protocol.stop()
-        self.observer.detach()
+        protocol = self.world.protocol
+        monitor = self.world.monitor
+        observer = self.world.observer
+        protocol.stop()
+        observer.detach()
         return ShardResult(
             index=self.shard.index,
             key=self.shard.key,
-            n_receivers=len(self.protocol.receivers),
+            source=protocol.source_id,
+            receivers=sorted(protocol.receivers),
             groups_complete=sum(
-                r.groups_complete() for r in self.protocol.receivers.values()
+                r.groups_complete() for r in protocol.receivers.values()
             ),
-            nacks=self.protocol.total_nacks_sent(),
+            nacks=protocol.total_nacks_sent(),
             events=self.sim.events_fired,
             recv=[
                 (kind, node, bins, packets, nbytes)
-                for (kind, node), (bins, packets, nbytes) in self.monitor.receive_records()
+                for (kind, node), (bins, packets, nbytes) in monitor.receive_records()
             ],
             send=[
                 (kind, node, bins)
-                for (kind, node), bins in self.monitor.send_records()
+                for (kind, node), bins in monitor.send_records()
             ],
             drop=[
                 (kind, node, bins, packets, nbytes)
-                for (kind, node), (bins, packets, nbytes) in self.monitor.drop_records()
+                for (kind, node), (bins, packets, nbytes) in monitor.drop_records()
             ],
-            registry=self.observer.registry.snapshot(),
-            trace=[trace_record_to_dict(r) for r in self.observer.trace_records],
+            registry=observer.registry.snapshot(),
+            trace=[trace_record_to_dict(r) for r in observer.trace_records],
         )
 
 
@@ -245,7 +153,7 @@ class LogicalShardRunner:
 class MergedRun:
     """A complete run's merged, engine-agnostic output."""
 
-    spec: ShardedRunSpec
+    spec: RunSpec
     plan: ShardPlan
     monitor: TrafficMonitor
     registry: MetricsRegistry
@@ -253,34 +161,36 @@ class MergedRun:
     completion: float
     nacks: int
     events: int
-    n_receivers: int
+    source: int
+    receivers: List[int]
     #: 0 for the in-process reference engine, else the worker-process count.
     workers: int = 0
     wall_seconds: float = 0.0
 
     @property
+    def n_receivers(self) -> int:
+        return len(self.receivers)
+
+    @property
     def drops(self) -> int:
         return self.monitor.drops
 
-    def run_summary(self) -> Dict[str, object]:
-        """The metrics file's ``run`` record (same schema as run_traffic)."""
-        return {
-            "protocol": self.spec.protocol,
-            "fidelity": self.spec.fidelity,
-            "n_packets": self.spec.n_packets,
-            "seed": self.spec.seed,
-            "data_start": self.spec.data_start,
-            "data_end": self.spec.data_end,
-            "run_end": self.spec.run_end,
-            "completion": self.completion,
-            "nacks_sent": self.nacks,
-            "events": self.events,
-            "drops": self.monitor.drops,
-        }
+    def record(self) -> RunRecord:
+        """This run's summary and shard-annotated manifest."""
+        return run_record(
+            self.spec,
+            self.plan,
+            completion=self.completion,
+            nacks_sent=self.nacks,
+            events=self.events,
+            drops=self.drops,
+            receivers=self.receivers,
+            source=self.source,
+        )
 
 
 def merge_results(
-    spec: ShardedRunSpec, plan: ShardPlan, results: List[ShardResult]
+    spec: RunSpec, plan: ShardPlan, results: List[ShardResult]
 ) -> MergedRun:
     """Fold per-shard results in canonical shard order.
 
@@ -296,7 +206,7 @@ def merge_results(
     registry = MetricsRegistry()
     keyed: List[Tuple[float, int, int, Dict[str, object]]] = []
     groups_complete = 0
-    n_receivers = 0
+    receivers: List[int] = []
     nacks = 0
     events = 0
     for result in sorted(results, key=lambda r: r.index):
@@ -312,12 +222,11 @@ def merge_results(
             for i, record in enumerate(result.trace)
         )
         groups_complete += result.groups_complete
-        n_receivers += result.n_receivers
+        receivers.extend(result.receivers)
         nacks += result.nacks
         events += result.events
     keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-    config = variant_config(spec.protocol, spec.n_packets)
-    total = n_receivers * config.n_groups
+    total = len(receivers) * spec.config().n_groups
     return MergedRun(
         spec=spec,
         plan=plan,
@@ -327,5 +236,6 @@ def merge_results(
         completion=(groups_complete / total) if total else 1.0,
         nacks=nacks,
         events=events,
-        n_receivers=n_receivers,
+        source=results[0].source,
+        receivers=sorted(receivers),
     )

@@ -23,7 +23,6 @@ them to that.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import time
@@ -35,69 +34,17 @@ from repro.engine.runner import (
     LogicalShardRunner,
     MergedRun,
     ShardResult,
-    ShardedRunSpec,
     merge_results,
     plan_for_spec,
 )
 from repro.engine.sync import CrossShardMessage, window_ends
 from repro.errors import EngineError
-from repro.experiments.common import run_slug, variant_config
-from repro.obs.export import build_manifest, export_metrics, export_trace_dicts
-
-
-def _sync_window(plan: ShardPlan) -> float:
-    return plan.lookahead
-
-
-def sharded_manifest(kind: str, merged: MergedRun) -> Dict[str, object]:
-    """A shard-annotated manifest for merged exports.
-
-    Deliberately excludes anything worker-count- or wall-clock-dependent:
-    the manifest (like every other line) must be byte-identical between
-    the reference engine and any worker packing.
-    """
-    spec = merged.spec
-    plan = merged.plan
-    lookahead = plan.lookahead if math.isfinite(plan.lookahead) else None
-    return build_manifest(
-        kind,
-        run=run_slug(spec.protocol, spec.n_packets, spec.seed),
-        seed=spec.seed,
-        topology=spec.topology,
-        protocol=spec.protocol,
-        config=variant_config(spec.protocol, spec.n_packets),
-        bin_width=spec.bin_width,
-        extra={
-            "n_packets": spec.n_packets,
-            "engine": "sharded",
-            "n_shards": plan.n_shards,
-            "shards": [shard.key for shard in plan.shards],
-            "lookahead": lookahead,
-            "sync_window": lookahead,
-        },
-    )
-
-
-def export_merged_metrics(merged: MergedRun, path: str) -> str:
-    """Write the merged metrics JSONL file (same schema as run_traffic's)."""
-    return export_metrics(
-        path,
-        sharded_manifest("metrics", merged),
-        monitor=merged.monitor,
-        registry=merged.registry,
-        run_summary=merged.run_summary(),
-    )
-
-
-def export_merged_trace(merged: MergedRun, path: str) -> str:
-    """Write the merged trace JSONL file."""
-    return export_trace_dicts(path, sharded_manifest("trace", merged), merged.trace)
-
+from repro.scenario import RunSpec
 
 # ------------------------------------------------------------------ reference
 
 
-def run_reference(spec: ShardedRunSpec) -> MergedRun:
+def run_reference(spec: RunSpec) -> MergedRun:
     """Run every logical shard in this process (the equivalence baseline).
 
     Same decomposition, same window schedule, same injection ordering as
@@ -109,7 +56,7 @@ def run_reference(spec: ShardedRunSpec) -> MergedRun:
     plan = plan_for_spec(spec)
     runners = [LogicalShardRunner(spec, plan, shard) for shard in plan.shards]
     pending: List[List[CrossShardMessage]] = [[] for _ in plan.shards]
-    for end in window_ends(spec.run_end, _sync_window(plan)):
+    for end in window_ends(spec.run_end, plan.lookahead):
         routed: List[List[CrossShardMessage]] = [[] for _ in plan.shards]
         for runner in runners:
             runner.inject(pending[runner.shard.index])
@@ -126,7 +73,7 @@ def run_reference(spec: ShardedRunSpec) -> MergedRun:
 # ------------------------------------------------------------- multiprocessing
 
 
-def _worker_main(conn, spec: ShardedRunSpec, plan: ShardPlan, shard_ids: List[int]) -> None:
+def _worker_main(conn, spec: RunSpec, plan: ShardPlan, shard_ids: List[int]) -> None:
     """Worker process: run the assigned logical shards in lockstep.
 
     Protocol (parent -> worker): ``("window", end, {shard_id: [msg]})``
@@ -169,7 +116,7 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def run_sharded(spec: ShardedRunSpec, workers: Optional[int] = None) -> MergedRun:
+def run_sharded(spec: RunSpec, workers: Optional[int] = None) -> MergedRun:
     """Run the spec across worker processes (the multiprocessing engine).
 
     Args:
@@ -212,7 +159,7 @@ def run_sharded(spec: ShardedRunSpec, workers: Optional[int] = None) -> MergedRu
         pending: Dict[int, List[CrossShardMessage]] = {
             shard.index: [] for shard in plan.shards
         }
-        for end in window_ends(spec.run_end, _sync_window(plan)):
+        for end in window_ends(spec.run_end, plan.lookahead):
             for w, conn in enumerate(conns):
                 inboxes = {
                     shard_id: pending[shard_id]

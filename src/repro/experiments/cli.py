@@ -186,10 +186,9 @@ def _maybe_write_csv(figure_id: str, args) -> None:
 
     from repro.experiments import traffic_sim
 
-    builder = getattr(traffic_sim, figure_id, None)
-    if builder is None:
+    if figure_id not in traffic_sim.FIGURES:
         return
-    figure = builder(n_packets=args.packets, seed=args.seed)
+    figure = traffic_sim.figure(figure_id, n_packets=args.packets, seed=args.seed)
     os.makedirs(args.csv, exist_ok=True)
     path = os.path.join(args.csv, f"{figure_id}.csv")
     with open(path, "w") as handle:

@@ -11,47 +11,34 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import hashlib
-import json
 import os
-import re
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
-from repro.core.config import SharqfecConfig
-from repro.core.protocol import SharqfecProtocol
 from repro.errors import ConfigError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.net.monitor import TrafficMonitor
-from repro.obs import (
-    ProgressReporter,
-    RunObserver,
-    build_manifest,
-    export_metrics,
-    export_trace,
+from repro.obs.progress import ProgressReporter
+# The spec-level names moved down to repro.scenario with the spec; they are
+# imported back so ``common.variant_config`` etc. stay importable.
+from repro.scenario import (
+    DATA_START,
+    DEFAULT_DRAIN,
+    SESSION_START,
+    VARIANTS,
+    RunSpec,
+    World,
+    export_run,
+    run_record,
+    run_slug,
+    variant_config,
 )
 from repro.sim.scheduler import Simulator
-from repro.srm.config import SrmConfig
-from repro.srm.protocol import SrmProtocol
-from repro.topology.figure10 import Figure10, build_figure10
-
-#: Paper-style variant names accepted by :func:`run_traffic`.
-VARIANTS = (
-    "SRM",
-    "SHARQFEC",
-    "SHARQFEC(ns)",
-    "SHARQFEC(ni)",
-    "SHARQFEC(ns,ni)",
-    "SHARQFEC(ns,ni,so)",
-)
+from repro.topology.figure10 import Figure10
 
 #: Traffic-monitor kinds that make up "data and repair traffic".
 DATA_REPAIR_KINDS = ("DATA", "FEC", "REPAIR")
-
-SESSION_START = 1.0
-DATA_START = 6.0
 
 
 @dataclass
@@ -104,59 +91,6 @@ def observe_runs(options: Optional[ObservabilityOptions]) -> Iterator[None]:
         _observability.reset(token)
 
 
-#: Default drain used by :func:`run_traffic`; runs at the default with no
-#: fault plan keep the short legacy slug (no parameter digest).
-DEFAULT_DRAIN = 10.0
-
-
-def run_params_digest(
-    drain: float = DEFAULT_DRAIN,
-    fault_plan: Optional[FaultPlan] = None,
-    extra: Optional[Dict[str, object]] = None,
-) -> Optional[str]:
-    """Short stable digest of the non-core run parameters, or ``None``.
-
-    ``None`` means "the default shape" — drain 10 s, no fault plan, no
-    extra flags — which keeps historical export filenames unchanged.  Any
-    other combination gets an 8-hex-char digest so two runs differing only
-    in, say, their fault plan can never overwrite each other's exports.
-    """
-    if drain == DEFAULT_DRAIN and fault_plan is None and not extra:
-        return None
-    payload = {
-        "drain": drain,
-        "fault_plan": None
-        if fault_plan is None
-        else {
-            "name": fault_plan.name,
-            "actions": [a.describe() for a in fault_plan.actions()],
-        },
-        "extra": dict(sorted(extra.items())) if extra else None,
-    }
-    blob = json.dumps(payload, sort_keys=True, default=repr).encode()
-    return hashlib.sha256(blob).hexdigest()[:8]
-
-
-def run_slug(
-    protocol: str,
-    n_packets: int,
-    seed: int,
-    drain: float = DEFAULT_DRAIN,
-    fault_plan: Optional[FaultPlan] = None,
-    extra: Optional[Dict[str, object]] = None,
-) -> str:
-    """Filesystem-safe basename for one run's export files.
-
-    Default-shaped runs keep the historical ``<proto>_p<N>_s<seed>`` name;
-    anything else (custom drain, fault plan, extra flags) appends a
-    parameter digest — see :func:`run_params_digest`.
-    """
-    slug = re.sub(r"[^a-z0-9]+", "_", protocol.lower()).strip("_")
-    base = f"{slug}_p{n_packets}_s{seed}"
-    digest = run_params_digest(drain, fault_plan, extra)
-    return base if digest is None else f"{base}_h{digest}"
-
-
 def default_packets() -> int:
     """Packets per run: the paper's 1024, or ``SHARQFEC_PACKETS`` from the
     environment (benchmarks default to a faster 128)."""
@@ -170,24 +104,6 @@ def default_packets() -> int:
     if packets <= 0:
         raise ConfigError(f"SHARQFEC_PACKETS must be positive, got {packets}")
     return packets
-
-
-def variant_config(name: str, n_packets: int) -> SharqfecConfig:
-    """Build the :class:`SharqfecConfig` for a paper-style variant name."""
-    if name == "SHARQFEC":
-        return SharqfecConfig(n_packets=n_packets)
-    if not (name.startswith("SHARQFEC(") and name.endswith(")")):
-        raise ConfigError(f"unknown variant {name!r}; expected one of {VARIANTS}")
-    flags = {f.strip() for f in name[len("SHARQFEC(") : -1].split(",") if f.strip()}
-    unknown = flags - {"ns", "ni", "so"}
-    if unknown:
-        raise ConfigError(f"unknown variant flags {sorted(unknown)} in {name!r}")
-    return SharqfecConfig(
-        n_packets=n_packets,
-        scoping="ns" not in flags,
-        injection="ni" not in flags,
-        sender_only="so" in flags,
-    )
 
 
 @dataclass
@@ -247,13 +163,6 @@ class TrafficRunResult:
             for v in self.monitor.series(["NACK"], self.source, t_end=self.run_end)
         ]
 
-    def source_repair_only_series(self) -> List[float]:
-        """Repair packets per interval crossing the source (no data CBR)."""
-        series = self.monitor.node_traffic_series(
-            ["FEC", "REPAIR"], self.source, t_end=self.run_end
-        )
-        return [float(v) for v in series]
-
     def data_end_index(self) -> int:
         """Bin index of the stream's final data packet."""
         from repro.obs.binning import bin_index
@@ -295,83 +204,47 @@ def run_traffic(
     Teardown (reporter stop, observer detach, export of whatever the run
     observed) happens even when the run raises — a failed invariant still
     leaves its partial metrics/trace on disk, marked with an ``error``
-    field in the run summary.
+    field in the run summary.  A scenario that cannot be assembled (unknown
+    variant, a fault plan naming an absent node) raises before anything has
+    run, so there is nothing to export.
     """
-    packets = n_packets if n_packets is not None else default_packets()
-    wall_start = time.perf_counter()
-    sim = Simulator(seed=seed)
-    topo = build_figure10(sim)
-    monitor = TrafficMonitor(bin_width=0.1)
-    topo.network.add_observer(monitor)
     if obs is None:
         obs = _observability.get()
-    observer: Optional[RunObserver] = None
+    observed = obs is not None and obs.active
+    spec = RunSpec(
+        protocol=protocol,
+        n_packets=n_packets if n_packets is not None else default_packets(),
+        seed=seed,
+        drain=drain,
+        fault_plan=fault_plan,
+        capture_trace=observed and obs.trace_dir is not None,
+    )
+    wall_start = time.perf_counter()
+    sim = Simulator(seed=seed)
+    world = World(spec, sim, observe=observed, zone_traffic=observed and obs.zone_traffic)
+    proto = world.protocol
     reporter: Optional[ProgressReporter] = None
-    if obs is not None and obs.active:
-        zone_of = None
-        if obs.zone_traffic:
-            zone_of = {
-                node: topo.hierarchy.smallest_zone(node).zone_id
-                for node in topo.hierarchy.members()
-            }
-        observer = RunObserver(
+    if observed and obs.progress_interval is not None:
+        reporter = ProgressReporter(
             sim,
-            bin_width=monitor.bin_width,
-            zone_of=zone_of,
-            capture_trace=obs.trace_dir is not None,
-        ).attach()
-        if obs.progress_interval is not None:
-            reporter = ProgressReporter(
-                sim,
-                interval=obs.progress_interval,
-                stream=obs.progress_stream,
-                monitor=monitor,
-                label=f"{protocol} seed={seed}",
-            ).start()
-    data_start = DATA_START
-    config: Optional[SharqfecConfig] = None
-    srm_config: Optional[SrmConfig] = None
-    data_end: Optional[float] = None
-    run_end: Optional[float] = None
-    completion = 0.0
-    nacks = 0
+            interval=obs.progress_interval,
+            stream=obs.progress_stream,
+            monitor=world.monitor,
+            label=f"{protocol} seed={seed}",
+        ).start()
     error: Optional[str] = None
     try:
-        if fault_plan is not None:
-            FaultInjector(topo.network, fault_plan).arm()
-        if protocol == "SRM":
-            srm_config = SrmConfig(n_packets=packets)
-            srm = SrmProtocol(topo.network, srm_config, topo.source, topo.receivers)
-            srm.start(SESSION_START, data_start)
-            data_end = data_start + packets * srm_config.inter_packet_interval
-            run_end = data_end + drain
-            sim.run(until=run_end)
-            srm.stop()
-            completion = srm.completion_fraction()
-            nacks = srm.total_nacks_sent()
-        else:
-            config = variant_config(protocol, packets)
-            proto = SharqfecProtocol(
-                topo.network, config, topo.source, topo.receivers, topo.hierarchy
-            )
-            proto.start(SESSION_START, data_start)
-            data_end = proto.data_end_time(data_start)
-            run_end = data_end + drain
-            sim.run(until=run_end)
-            proto.stop()
-            completion = proto.completion_fraction()
-            nacks = proto.total_nacks_sent()
+        sim.run(until=spec.run_end)
+        proto.stop()
         if check_invariants:
             from repro.testing.invariants import (
                 assert_eventual_delivery,
                 connected_receivers,
             )
 
-            survivors = connected_receivers(topo.network, topo.source, topo.receivers)
+            survivors = connected_receivers(world.network, world.source, world.receivers)
             assert_eventual_delivery(
-                srm if protocol == "SRM" else proto,
-                receivers=survivors,
-                context=f"{protocol} seed={seed}",
+                proto, receivers=survivors, context=f"{protocol} seed={seed}"
             )
     except BaseException as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -379,130 +252,38 @@ def run_traffic(
     finally:
         if reporter is not None:
             reporter.stop()
-        if observer is not None:
-            observer.detach()
-            _export_run(
-                obs,
-                observer,
-                monitor,
-                protocol=protocol,
-                packets=packets,
-                seed=seed,
-                config=config,
-                srm_config=srm_config,
-                drain=drain,
-                fault_plan=fault_plan,
-                data_start=data_start,
-                data_end=data_end,
-                run_end=run_end,
+        completion = proto.completion_fraction()
+        nacks = proto.total_nacks_sent()
+        if world.observer is not None:
+            world.observer.detach()
+            record = run_record(
+                spec,
                 completion=completion,
-                nacks=nacks,
+                nacks_sent=nacks,
                 events=sim.events_fired,
-                receivers=topo.receivers,
-                source=topo.source,
+                drops=world.monitor.drops,
+                receivers=world.receivers,
+                source=world.source,
                 error=error,
+            )
+            export_run(
+                record,
+                monitor=world.monitor,
+                registry=world.observer.registry,
+                trace=world.observer.trace_records,
+                metrics_dir=obs.metrics_dir,
+                trace_dir=obs.trace_dir,
             )
     return TrafficRunResult(
         protocol=protocol,
-        monitor=monitor,
-        topology=topo,
-        data_start=data_start,
-        data_end=data_end,
-        run_end=run_end,
+        monitor=world.monitor,
+        topology=world.topology,
+        data_start=spec.data_start,
+        data_end=spec.data_end,
+        run_end=spec.run_end,
         completion=completion,
         nacks_sent=nacks,
         events=sim.events_fired,
         wall_seconds=time.perf_counter() - wall_start,
         seed=seed,
     )
-
-
-def _export_run(
-    obs: ObservabilityOptions,
-    observer: RunObserver,
-    monitor: TrafficMonitor,
-    *,
-    protocol: str,
-    packets: int,
-    seed: int,
-    config: Optional[SharqfecConfig],
-    srm_config: Optional[SrmConfig],
-    drain: float = DEFAULT_DRAIN,
-    fault_plan: Optional[FaultPlan] = None,
-    data_start: float,
-    data_end: Optional[float],
-    run_end: Optional[float],
-    completion: float,
-    nacks: int,
-    events: int,
-    receivers: Optional[List[int]] = None,
-    source: Optional[int] = None,
-    error: Optional[str] = None,
-) -> None:
-    """Write the metrics/trace JSONL files one observed run produced."""
-    slug = run_slug(protocol, packets, seed, drain=drain, fault_plan=fault_plan)
-    summary = {
-        "protocol": protocol,
-        "n_packets": packets,
-        "seed": seed,
-        "data_start": data_start,
-        "data_end": data_end,
-        "run_end": run_end,
-        "completion": completion,
-        "nacks_sent": nacks,
-        "events": events,
-        "drops": monitor.drops,
-        "receivers": receivers,
-        "source": source,
-    }
-    if error is not None:
-        summary["error"] = error
-
-    def manifest(kind: str) -> Dict[str, object]:
-        return build_manifest(
-            kind,
-            run=slug,
-            seed=seed,
-            topology="figure10",
-            protocol=protocol,
-            config=config if config is not None else srm_config,
-            bin_width=monitor.bin_width,
-            params={
-                "drain": drain,
-                "fault_plan": None
-                if fault_plan is None
-                else {
-                    "name": fault_plan.name,
-                    "actions": [a.describe() for a in fault_plan.actions()],
-                },
-            },
-            extra={"n_packets": packets},
-        )
-
-    if obs.metrics_dir is not None:
-        export_metrics(
-            os.path.join(obs.metrics_dir, f"{slug}.metrics.jsonl"),
-            manifest("metrics"),
-            monitor=monitor,
-            registry=observer.registry,
-            run_summary=summary,
-        )
-    if obs.trace_dir is not None:
-        export_trace(
-            os.path.join(obs.trace_dir, f"{slug}.trace.jsonl"),
-            manifest("trace"),
-            observer.trace_records,
-        )
-
-
-def run_variants(
-    protocols: List[str],
-    n_packets: Optional[int] = None,
-    seed: int = 1,
-    drain: float = 10.0,
-) -> Dict[str, TrafficRunResult]:
-    """Run several variants with the same parameters (one per figure curve)."""
-    return {
-        name: run_traffic(name, n_packets=n_packets, seed=seed, drain=drain)
-        for name in protocols
-    }

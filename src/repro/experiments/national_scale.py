@@ -12,20 +12,12 @@ run, so it doubles as the entry point operators use to size shard counts
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.engine import (
-    MergedRun,
-    ShardedRunSpec,
-    export_merged_metrics,
-    export_merged_trace,
-    run_reference,
-    run_sharded,
-)
-from repro.experiments.common import run_slug
+from repro.engine import MergedRun, run_reference, run_sharded
 from repro.faults.plan import FaultPlan
+from repro.scenario import RunSpec, export_run
 
 #: Default shape: 4 regions x 5 cities x 10 suburbs x 50 subscribers
 #: = 10,024 receivers (>= the 10k target) on 10,025 nodes.
@@ -49,10 +41,10 @@ def national_spec(
     fault_plan: Optional[FaultPlan] = None,
     capture_trace: bool = False,
     fidelity: str = "packet",
-) -> ShardedRunSpec:
-    """A sharded-run spec for a national topology of the given shape."""
+) -> RunSpec:
+    """A run spec for a national topology of the given shape."""
     total_nodes = 1 + regions * (1 + cities_per_region * (1 + suburbs_per_city * subscribers_per_suburb))
-    return ShardedRunSpec(
+    return RunSpec(
         topology="national",
         n_packets=n_packets,
         seed=seed,
@@ -111,7 +103,7 @@ class NationalRunReport:
 
 
 def run_national(
-    spec: ShardedRunSpec,
+    spec: RunSpec,
     shards: Optional[int] = None,
     metrics_dir: Optional[str] = None,
     trace_dir: Optional[str] = None,
@@ -126,14 +118,12 @@ def run_national(
         merged = run_sharded(spec, workers=shards)
     else:
         merged = run_reference(spec)
-    report = NationalRunReport(merged)
-    slug = run_slug(spec.protocol, spec.n_packets, spec.seed)
-    if metrics_dir is not None:
-        report.metrics_path = export_merged_metrics(
-            merged, os.path.join(metrics_dir, f"{slug}.metrics.jsonl")
-        )
-    if trace_dir is not None:
-        report.trace_path = export_merged_trace(
-            merged, os.path.join(trace_dir, f"{slug}.trace.jsonl")
-        )
-    return report
+    metrics_path, trace_path = export_run(
+        merged.record(),
+        monitor=merged.monitor,
+        registry=merged.registry,
+        trace=merged.trace,
+        metrics_dir=metrics_dir,
+        trace_dir=trace_dir,
+    )
+    return NationalRunReport(merged, metrics_path, trace_path)

@@ -85,9 +85,9 @@ def _render_rtt_fig(role: str, figure_id: str) -> Callable[[Optional[int], int],
     return render
 
 
-def _render_traffic_fig(fn) -> Callable[[Optional[int], int], str]:
+def _render_traffic_fig(figure_id: str) -> Callable[[Optional[int], int], str]:
     def render(n_packets: Optional[int], seed: int) -> str:
-        return fn(n_packets=n_packets, seed=seed).render()
+        return traffic_sim.figure(figure_id, n_packets=n_packets, seed=seed).render()
 
     return render
 
@@ -143,14 +143,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig11": Experiment("fig11", "RTT estimation accuracy, level-1 sender (§6.1)", _render_rtt_fig("head", "fig11")),
     "fig12": Experiment("fig12", "RTT estimation accuracy, level-2 sender (§6.1)", _render_rtt_fig("child", "fig12")),
     "fig13": Experiment("fig13", "RTT estimation accuracy, level-3 sender (§6.1)", _render_rtt_fig("grandchild", "fig13")),
-    "fig14": Experiment("fig14", "Data+repair traffic: SRM vs ECSRM (§6.2)", _render_traffic_fig(traffic_sim.fig14)),
-    "fig15": Experiment("fig15", "NACK traffic: SRM vs ECSRM (§6.2)", _render_traffic_fig(traffic_sim.fig15)),
-    "fig16": Experiment("fig16", "Non-scoped variants: (ns,ni) vs (ns) (§6.2)", _render_traffic_fig(traffic_sim.fig16)),
-    "fig17": Experiment("fig17", "Scoping gain: (ns,ni,so) vs SHARQFEC (§6.2)", _render_traffic_fig(traffic_sim.fig17)),
-    "fig18": Experiment("fig18", "Injection ablation: (ni) vs SHARQFEC (§6.2)", _render_traffic_fig(traffic_sim.fig18)),
-    "fig19": Experiment("fig19", "NACK suppression: (ns,ni,so) vs SHARQFEC (§6.2)", _render_traffic_fig(traffic_sim.fig19)),
-    "fig20": Experiment("fig20", "Source-visible data+repair traffic (§6.2)", _render_traffic_fig(traffic_sim.fig20)),
-    "fig21": Experiment("fig21", "Source-visible NACK traffic (§6.2)", _render_traffic_fig(traffic_sim.fig21)),
+    **{
+        figure_id: Experiment(figure_id, description, _render_traffic_fig(figure_id))
+        for figure_id, (_title, description, _kind, _variants) in traffic_sim.FIGURES.items()
+    },
     # Beyond the paper's figures: measured versions of its scaling and
     # late-join arguments.
     "scaling": Experiment("scaling", "Measured session-traffic scaling, SRM vs SHARQFEC (§5)", _render_scaling),

@@ -1,8 +1,9 @@
 """Data/repair traffic experiments: Figures 14–21 (§6.2).
 
-Each ``figNN`` function returns a :class:`FigureResult` holding the same
-series the paper plots.  Runs are cached per (variant, packets, seed) so
-figures sharing a protocol run (e.g. 14 and 15) simulate it once.
+``figure("figNN")`` returns a :class:`FigureResult` holding the same
+series the paper plots; :data:`FIGURES` is the table of what each one is.
+Runs are cached per (variant, packets, seed) so figures sharing a protocol
+run (e.g. 14 and 15) simulate it once.
 """
 
 from __future__ import annotations
@@ -84,129 +85,67 @@ class FigureResult:
         return "\n".join(lines)
 
 
-def _figure(
-    figure_id: str,
-    title: str,
-    curves: Dict[str, Tuple[str, str]],
-    n_packets: Optional[int],
-    seed: int,
-    drain: float,
-) -> FigureResult:
-    """Build a figure from (variant, series-kind) curve specs."""
-    extractors: Dict[str, Callable[[TrafficRunResult], List[float]]] = {
-        "data+repair": TrafficRunResult.data_repair_series,
-        "nack": TrafficRunResult.nack_series,
-        "source data+repair": TrafficRunResult.source_data_repair_series,
-        "source nack": TrafficRunResult.source_nack_series,
-    }
-    series: Dict[str, List[float]] = {}
-    runs: Dict[str, TrafficRunResult] = {}
-    for label, (variant, kind) in curves.items():
-        run = _get_run(variant, n_packets, seed, drain)
-        runs[label] = run
-        series[label] = extractors[kind](run)
-    return FigureResult(figure_id, title, series, runs)
+_SERIES: Dict[str, Callable[[TrafficRunResult], List[float]]] = {
+    "data+repair": TrafficRunResult.data_repair_series,
+    "nack": TrafficRunResult.nack_series,
+    "source data+repair": TrafficRunResult.source_data_repair_series,
+    "source nack": TrafficRunResult.source_nack_series,
+}
 
-
-def fig14(n_packets: Optional[int] = None, seed: int = 1, drain: float = 10.0) -> FigureResult:
-    """Fig 14: avg data+repair traffic — SRM vs SHARQFEC(ns,ni,so)/ECSRM."""
-    return _figure(
-        "fig14",
+#: figure id -> (paper title, one-line description, series kind, the two
+#: variants plotted).  Figures 14-21 differ in nothing else.
+FIGURES: Dict[str, Tuple[str, str, str, Tuple[str, str]]] = {
+    "fig14": (
         "Data and Repair Traffic - SRM and SHARQFEC(ns,ni,so)/ECSRM",
-        {
-            "SRM": ("SRM", "data+repair"),
-            "SHARQFEC(ns,ni,so)": ("SHARQFEC(ns,ni,so)", "data+repair"),
-        },
-        n_packets, seed, drain,
-    )
-
-
-def fig15(n_packets: Optional[int] = None, seed: int = 1, drain: float = 10.0) -> FigureResult:
-    """Fig 15: NACK traffic — SRM vs SHARQFEC(ns,ni,so)/ECSRM."""
-    return _figure(
-        "fig15",
+        "Data+repair traffic: SRM vs ECSRM (§6.2)",
+        "data+repair", ("SRM", "SHARQFEC(ns,ni,so)"),
+    ),
+    "fig15": (
         "NACK Traffic - SRM and SHARQFEC(ns,ni,so)/ECSRM",
-        {
-            "SRM": ("SRM", "nack"),
-            "SHARQFEC(ns,ni,so)": ("SHARQFEC(ns,ni,so)", "nack"),
-        },
-        n_packets, seed, drain,
-    )
-
-
-def fig16(n_packets: Optional[int] = None, seed: int = 1, drain: float = 10.0) -> FigureResult:
-    """Fig 16: receiver repairs vs source injection, both non-scoped."""
-    return _figure(
-        "fig16",
+        "NACK traffic: SRM vs ECSRM (§6.2)",
+        "nack", ("SRM", "SHARQFEC(ns,ni,so)"),
+    ),
+    "fig16": (
         "Average Data and Repair Traffic - SHARQFEC(ns,ni) and SHARQFEC(ns)",
-        {
-            "SHARQFEC(ns,ni)": ("SHARQFEC(ns,ni)", "data+repair"),
-            "SHARQFEC(ns)": ("SHARQFEC(ns)", "data+repair"),
-        },
-        n_packets, seed, drain,
-    )
-
-
-def fig17(n_packets: Optional[int] = None, seed: int = 1, drain: float = 10.0) -> FigureResult:
-    """Fig 17: adding scoping — SHARQFEC(ns,ni,so) vs full SHARQFEC."""
-    return _figure(
-        "fig17",
+        "Non-scoped variants: (ns,ni) vs (ns) (§6.2)",
+        "data+repair", ("SHARQFEC(ns,ni)", "SHARQFEC(ns)"),
+    ),
+    "fig17": (
         "Average Data and Repair Traffic - SHARQFEC(ns,ni,so) and SHARQFEC",
-        {
-            "SHARQFEC(ns,ni,so)": ("SHARQFEC(ns,ni,so)", "data+repair"),
-            "SHARQFEC": ("SHARQFEC", "data+repair"),
-        },
-        n_packets, seed, drain,
-    )
-
-
-def fig18(n_packets: Optional[int] = None, seed: int = 1, drain: float = 10.0) -> FigureResult:
-    """Fig 18: preemptive injection under scoping — SHARQFEC(ni) vs SHARQFEC."""
-    return _figure(
-        "fig18",
+        "Scoping gain: (ns,ni,so) vs SHARQFEC (§6.2)",
+        "data+repair", ("SHARQFEC(ns,ni,so)", "SHARQFEC"),
+    ),
+    "fig18": (
         "Data and Repair Traffic - SHARQFEC(ni) and SHARQFEC",
-        {
-            "SHARQFEC(ni)": ("SHARQFEC(ni)", "data+repair"),
-            "SHARQFEC": ("SHARQFEC", "data+repair"),
-        },
-        n_packets, seed, drain,
-    )
-
-
-def fig19(n_packets: Optional[int] = None, seed: int = 1, drain: float = 10.0) -> FigureResult:
-    """Fig 19: NACK suppression — SHARQFEC(ns,ni,so) vs full SHARQFEC."""
-    return _figure(
-        "fig19",
+        "Injection ablation: (ni) vs SHARQFEC (§6.2)",
+        "data+repair", ("SHARQFEC(ni)", "SHARQFEC"),
+    ),
+    "fig19": (
         "Average NACK traffic - SHARQFEC(ns,ni,so) and SHARQFEC",
-        {
-            "SHARQFEC(ns,ni,so)": ("SHARQFEC(ns,ni,so)", "nack"),
-            "SHARQFEC": ("SHARQFEC", "nack"),
-        },
-        n_packets, seed, drain,
-    )
-
-
-def fig20(n_packets: Optional[int] = None, seed: int = 1, drain: float = 10.0) -> FigureResult:
-    """Fig 20: data+repair traffic at the source / network core."""
-    return _figure(
-        "fig20",
+        "NACK suppression: (ns,ni,so) vs SHARQFEC (§6.2)",
+        "nack", ("SHARQFEC(ns,ni,so)", "SHARQFEC"),
+    ),
+    "fig20": (
         "Data and Repair Traffic seen by the Source - SHARQFEC(ns,ni,so) and SHARQFEC",
-        {
-            "SHARQFEC(ns,ni,so)": ("SHARQFEC(ns,ni,so)", "source data+repair"),
-            "SHARQFEC": ("SHARQFEC", "source data+repair"),
-        },
-        n_packets, seed, drain,
-    )
-
-
-def fig21(n_packets: Optional[int] = None, seed: int = 1, drain: float = 10.0) -> FigureResult:
-    """Fig 21: NACK traffic at the source."""
-    return _figure(
-        "fig21",
+        "Source-visible data+repair traffic (§6.2)",
+        "source data+repair", ("SHARQFEC(ns,ni,so)", "SHARQFEC"),
+    ),
+    "fig21": (
         "NACK Traffic seen by the Source - SHARQFEC(ns,ni,so) and SHARQFEC",
-        {
-            "SHARQFEC(ns,ni,so)": ("SHARQFEC(ns,ni,so)", "source nack"),
-            "SHARQFEC": ("SHARQFEC", "source nack"),
-        },
-        n_packets, seed, drain,
-    )
+        "Source-visible NACK traffic (§6.2)",
+        "source nack", ("SHARQFEC(ns,ni,so)", "SHARQFEC"),
+    ),
+}
+
+
+def figure(
+    figure_id: str,
+    n_packets: Optional[int] = None,
+    seed: int = 1,
+    drain: float = 10.0,
+) -> FigureResult:
+    """Reproduce one of Figures 14-21: one curve per variant in its row."""
+    title, _description, kind, variants = FIGURES[figure_id]
+    runs = {variant: _get_run(variant, n_packets, seed, drain) for variant in variants}
+    series = {variant: _SERIES[kind](run) for variant, run in runs.items()}
+    return FigureResult(figure_id, title, series, runs)

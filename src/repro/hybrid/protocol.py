@@ -118,9 +118,11 @@ class HybridSharqfecProtocol(SharqfecProtocol):
         """Wake the suspended session plane; sticky and idempotent.
 
         Fires from :meth:`Network.topology_changed` (link/node faults,
-        partitions, heals) and from the churn entry points below.  Before
-        seeding it is a no-op: construction-time topology edits are not
-        disturbances.  After the first wake the session plane stays awake
+        partitions, heals) and before every receiver churn call (the
+        ``ReceiverChurn`` hook).  Before seeding it is a no-op:
+        construction-time topology edits and ``defer_receiver`` are not
+        disturbances — the seed pass simply excludes a stopped agent from
+        ZCR candidacy.  After the first wake the session plane stays awake
         — the packet-fidelity machinery handles all further adaptation.
         """
         if not self._seeded or self._awake:
@@ -139,26 +141,3 @@ class HybridSharqfecProtocol(SharqfecProtocol):
         for receiver in self.receivers.values():
             if not receiver._stopped:
                 receiver.start_session()
-
-    # ------------------------------------------------------------------ churn
-
-    def defer_receiver(self, node_id: int) -> None:
-        # Deferring happens before start(); no disturbance — the seed pass
-        # simply excludes the stopped agent from ZCR candidacy.
-        super().defer_receiver(node_id)
-
-    def join_receiver(self, node_id: int) -> None:
-        self._on_disturbance()
-        super().join_receiver(node_id)
-
-    def leave_receiver(self, node_id: int) -> None:
-        self._on_disturbance()
-        super().leave_receiver(node_id)
-
-    def crash_receiver(self, node_id: int) -> None:
-        self._on_disturbance()
-        super().crash_receiver(node_id)
-
-    def restart_receiver(self, node_id: int) -> None:
-        self._on_disturbance()
-        super().restart_receiver(node_id)

@@ -23,7 +23,6 @@ from repro.obs.export import (
     build_manifest,
     export_metrics,
     export_trace,
-    export_trace_dicts,
     git_revision,
     traffic_records,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "default_trace_categories",
     "export_metrics",
     "export_trace",
-    "export_trace_dicts",
     "fault_categories",
     "git_revision",
     "n_bins",

@@ -26,7 +26,7 @@ import itertools
 import json
 import os
 import subprocess
-from typing import Callable, Dict, Iterable, List, Optional, TextIO
+from typing import Callable, Dict, Iterable, List, Optional, TextIO, Union
 
 from repro.obs.recorder import summarize_detail
 from repro.obs.registry import MetricsRegistry
@@ -251,7 +251,9 @@ def _trace_line_formatter(
     fragments: Dict[int, str] = {}
     heads: Dict[str, str] = {}
 
-    def line(record: TraceRecord) -> str:
+    def line(record: Union[TraceRecord, Dict[str, object]]) -> str:
+        if type(record) is dict:  # already trace_record_to_dict's form
+            return _encode(record) + "\n"
         time, category, node, detail = record
         if (
             type(time) is not float
@@ -279,30 +281,20 @@ def _trace_line_formatter(
 def export_trace(
     path: str,
     manifest: Dict[str, object],
-    records: Iterable[TraceRecord],
+    records: Iterable[Union[TraceRecord, Dict[str, object]]],
 ) -> str:
-    """Write one trace JSONL file; returns ``path``."""
+    """Write one trace JSONL file; returns ``path``.
+
+    A record may already be in :func:`trace_record_to_dict` form — the
+    sharded engine merges per-shard traces as plain dicts, the form they
+    cross the process boundary in; the line written is the same.
+    """
     _write_lines(
         path,
         itertools.chain(
             [_encode(manifest) + "\n"], map(_trace_line_formatter(), records)
         ),
     )
-    return path
-
-
-def export_trace_dicts(
-    path: str,
-    manifest: Dict[str, object],
-    records: Iterable[Dict[str, object]],
-) -> str:
-    """Write a trace file from already-serialized record dicts.
-
-    The sharded engine merges per-shard traces as plain dicts (the form
-    they cross the process boundary in); this writes them in the exact
-    format :func:`export_trace` produces.
-    """
-    _write_jsonl(path, itertools.chain([manifest], records))
     return path
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import ScopeError
 from repro.net.packet import Packet
 from repro.scoping.zone import Zone, ZoneHierarchy
-from repro.transport.api import Transport, deprecated_alias
+from repro.transport.api import Transport
 
 
 class ZoneChannels:
@@ -49,9 +49,6 @@ class ScopedChannels:
             self._zone_channels[zone.zone_id] = ZoneChannels(
                 zone.zone_id, repair.group_id, session.group_id
             )
-
-    # Name from before the Clock/Transport split (PR 9); reads warn.
-    network = deprecated_alias("network", "transport")
 
     # ------------------------------------------------------------------ lookup
 

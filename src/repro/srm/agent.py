@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from repro.core.rtt import RttTable
 from repro.net.packet import Packet
 from repro.sim.timers import Timer
-from repro.transport.api import Clock, Transport, deprecated_alias
+from repro.transport.api import Clock, Transport
 from repro.srm.config import SrmConfig
 from repro.srm.pdus import (
     SrmDataPdu,
@@ -88,10 +88,6 @@ class SrmAgent:
         self.data_received = 0
         self._joined = False
         self._stopped = False
-
-    # Names from before the Clock/Transport split (PR 9); reads warn.
-    sim = deprecated_alias("sim", "clock")
-    network = deprecated_alias("network", "transport")
 
     # -------------------------------------------------------------- lifecycle
 

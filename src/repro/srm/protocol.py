@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
+from repro.churn import ReceiverChurn
 from repro.errors import ConfigError
 from repro.net.network import Network
 from repro.srm.agent import SrmAgent
 from repro.srm.config import SrmConfig
 
 
-class SrmProtocol:
+class SrmProtocol(ReceiverChurn):
     """One SRM session: a global data/repair group + a session group."""
 
     def __init__(
@@ -63,37 +64,6 @@ class SrmProtocol:
         self.source.stop()
         for receiver in self.receivers.values():
             receiver.stop()
-
-    # ------------------------------------------------------------------ churn
-
-    def _receiver(self, node_id: int) -> SrmAgent:
-        try:
-            return self.receivers[node_id]
-        except KeyError:
-            raise ConfigError(
-                f"node {node_id} is not a receiver of this session"
-            ) from None
-
-    def defer_receiver(self, node_id: int) -> None:
-        """Hold a receiver out of the session until :meth:`join_receiver`."""
-        self._receiver(node_id).stop()
-
-    def join_receiver(self, node_id: int) -> None:
-        """(Re)join a deferred, crashed, or departed receiver; session
-        ``highest_seq`` advertisements resynchronize it."""
-        self._receiver(node_id).restart()
-
-    def leave_receiver(self, node_id: int) -> None:
-        """Cleanly remove a receiver from the session's groups."""
-        self._receiver(node_id).leave()
-
-    def crash_receiver(self, node_id: int) -> None:
-        """Crash a receiver's process mid-run (its node keeps routing)."""
-        self._receiver(node_id).crash()
-
-    def restart_receiver(self, node_id: int) -> None:
-        """Restart a crashed receiver."""
-        self._receiver(node_id).restart()
 
     # ------------------------------------------------------------- statistics
 

@@ -38,32 +38,11 @@ Contract notes
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 from repro.net.packet import Packet
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
-
-
-def deprecated_alias(old: str, new: str) -> property:
-    """Class-level shim for an attribute renamed by the transport split.
-
-    Reading the old name warns once per call site and forwards to the new
-    one, so pre-split code (``agent.sim``, ``agent.network``) keeps working
-    while migrations land.
-    """
-
-    def getter(self: Any) -> Any:
-        warnings.warn(
-            f"{type(self).__name__}.{old} is deprecated; use .{new}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, new)
-
-    getter.__doc__ = f"Deprecated alias for :attr:`{new}` (pre-transport-split name)."
-    return property(getter)
 
 
 @runtime_checkable

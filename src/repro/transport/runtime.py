@@ -26,9 +26,10 @@ hierarchies need nothing new from this module: any
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.core.config import SharqfecConfig
+from repro.core.protocol import GroupCompletion
 from repro.core.receiver import SharqfecReceiver
 from repro.core.sender import SharqfecSender
 from repro.errors import ConfigError
@@ -40,7 +41,7 @@ from repro.transport.udp import Addr, UdpTransport
 __all__ = ["NodeRuntime", "ProtocolView"]
 
 
-class ProtocolView:
+class ProtocolView(GroupCompletion):
     """Duck-typed stand-in for ``SharqfecProtocol`` over this process's agents.
 
     Exposes the ``receivers``/``config``/``all_complete`` surface that
@@ -52,24 +53,6 @@ class ProtocolView:
     def __init__(self, config: SharqfecConfig, receivers: Dict[int, SharqfecReceiver]) -> None:
         self.config = config
         self.receivers = receivers
-
-    def all_complete(self) -> bool:
-        return all(
-            r.all_complete(self.config.n_groups) for r in self.receivers.values()
-        )
-
-    def incomplete_receivers(self) -> List[int]:
-        return [
-            rid
-            for rid, r in self.receivers.items()
-            if not r.all_complete(self.config.n_groups)
-        ]
-
-    def completion_fraction(self) -> float:
-        total = len(self.receivers) * self.config.n_groups
-        if total == 0:
-            return 1.0
-        return sum(r.groups_complete() for r in self.receivers.values()) / total
 
 
 class NodeRuntime:

@@ -157,6 +157,29 @@ def test_failed_cell_is_recorded_not_raised(tmp_path, monkeypatch):
         analyze_campaign(out)
 
 
+def test_churn_scenario_runs_through_a_campaign(tmp_path):
+    """Churn steps act on the protocol's receivers, not the network: a
+    cell whose injector is armed without the protocol dies with
+    ``FaultError: receiver churn needs a protocol``."""
+    spec = _mini_spec(
+        seeds=[1],
+        protocols=["SHARQFEC"],
+        scenarios=[
+            {
+                "name": "crash",
+                "faults": [
+                    {"kind": "crash_restart", "time": 6.02, "node": 11, "down_for": 0.5}
+                ],
+            }
+        ],
+    )
+    report = run_campaign(spec, str(tmp_path / "churn"), workers=1)
+    (cell,) = report.outcomes
+    assert cell.status == "done", cell.error
+    # The default 10 s drain is ample for the restarted receiver to resync.
+    assert cell.completion == 1.0
+
+
 def test_seed1_cell_matches_single_run_bit_for_bit(campaign_dir, tmp_path):
     """The campaign's baseline seed-1 run IS the single-run figure series."""
     spec = _mini_spec()

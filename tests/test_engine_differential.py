@@ -15,15 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.obsload import load_metrics, monitor_from_export
-from repro.engine import (
-    ShardedRunSpec,
-    export_merged_metrics,
-    export_merged_trace,
-    run_reference,
-    run_sharded,
-)
+from repro.engine import run_reference, run_sharded
 from repro.experiments.national_scale import national_spec
 from repro.faults.plan import FaultPlan
+from repro.scenario import RunSpec, export_run
 
 # Small-but-real shapes: every run finishes in a couple of seconds while
 # still exercising multi-shard plans (fig10: residue + 7 top zones;
@@ -39,23 +34,33 @@ SMALL_NATIONAL = dict(
 BOUNDARY_LINK = (0, 16)
 
 
-def _small_national_spec(**overrides) -> ShardedRunSpec:
+def _small_national_spec(**overrides) -> RunSpec:
     params = dict(SMALL_NATIONAL, n_packets=8, drain=3.0)
     params.update(overrides)
     return national_spec(**params)
 
 
+def _export(merged, directory):
+    """Write both merged exports into ``directory``; returns their paths."""
+    return export_run(
+        merged.record(),
+        monitor=merged.monitor,
+        registry=merged.registry,
+        trace=merged.trace,
+        metrics_dir=str(directory),
+        trace_dir=str(directory),
+    )
+
+
 def _exports(merged, tmp_path, name):
     """Write both merged exports and return their raw bytes."""
-    metrics = tmp_path / f"{name}.metrics.jsonl"
-    trace = tmp_path / f"{name}.trace.jsonl"
-    export_merged_metrics(merged, str(metrics))
-    export_merged_trace(merged, str(trace))
-    return metrics.read_bytes(), trace.read_bytes()
+    metrics, trace = _export(merged, tmp_path / name)
+    with open(metrics, "rb") as m, open(trace, "rb") as t:
+        return m.read(), t.read()
 
 
 def test_fig10_workers_match_reference(tmp_path):
-    spec = ShardedRunSpec(topology="figure10", n_packets=8, drain=3.0, capture_trace=True)
+    spec = RunSpec(topology="figure10", n_packets=8, drain=3.0, capture_trace=True)
     reference = run_reference(spec)
     assert reference.plan.n_shards > 1
     assert reference.completion > 0.0
@@ -115,7 +120,7 @@ def test_national_fault_plan_matches(tmp_path):
         assert metrics == ref_metrics, f"metrics diverged at workers={workers}"
     # Fault counters must appear exactly once in the merge, not once per
     # shard: only shard 0's observer records global (replicated) events.
-    export = load_metrics(str(tmp_path / "ref.metrics.jsonl"))
+    export = load_metrics(_export(reference, tmp_path / "ref")[0])
     assert export.counter_by_label("faults", "kind") == {
         "gilbert_elliott": 1,
         "link_down": 1,
@@ -128,9 +133,7 @@ def test_monitor_rebuilds_from_merged_export(tmp_path):
     """The merged metrics file round-trips through obsload unchanged."""
     spec = _small_national_spec()
     merged = run_sharded(spec, workers=2)
-    path = tmp_path / "merged.metrics.jsonl"
-    export_merged_metrics(merged, str(path))
-    rebuilt = monitor_from_export(str(path))
+    rebuilt = monitor_from_export(_export(merged, tmp_path)[0])
     original = merged.monitor
     assert rebuilt.total_packets() == original.total_packets()
     assert dict(rebuilt.receive_records()) == dict(original.receive_records())
@@ -149,9 +152,7 @@ def test_fixed_shard_count_replays_byte_identically(tmp_path):
 def test_manifest_is_shard_annotated(tmp_path):
     spec = _small_national_spec()
     merged = run_reference(spec)
-    path = tmp_path / "m.metrics.jsonl"
-    export_merged_metrics(merged, str(path))
-    export = load_metrics(str(path))
+    export = load_metrics(_export(merged, tmp_path)[0])
     manifest = export.manifest
     assert manifest["engine"] == "sharded"
     assert manifest["n_shards"] == merged.plan.n_shards

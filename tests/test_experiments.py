@@ -69,8 +69,8 @@ def test_source_series_includes_sends():
 
 def test_traffic_run_cache_reuses_results():
     traffic_sim.clear_cache()
-    fig = traffic_sim.fig14(n_packets=24, seed=5, drain=6.0)
-    fig2 = traffic_sim.fig15(n_packets=24, seed=5, drain=6.0)
+    fig = traffic_sim.figure("fig14", n_packets=24, seed=5, drain=6.0)
+    fig2 = traffic_sim.figure("fig15", n_packets=24, seed=5, drain=6.0)
     # Same underlying runs: object identity via the module cache.
     assert fig.runs["SRM"] is fig2.runs["SRM"]
     traffic_sim.clear_cache()
@@ -78,7 +78,7 @@ def test_traffic_run_cache_reuses_results():
 
 def test_figure_result_render_contains_stats():
     traffic_sim.clear_cache()
-    fig = traffic_sim.fig17(n_packets=24, seed=5, drain=6.0)
+    fig = traffic_sim.figure("fig17", n_packets=24, seed=5, drain=6.0)
     text = fig.render(every=10)
     assert "fig17" in text
     assert "SHARQFEC(ns,ni,so)" in text

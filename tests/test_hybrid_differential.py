@@ -19,9 +19,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SharqfecConfig
-from repro.engine import ShardedRunSpec, run_reference, run_sharded
+from repro.engine import run_reference, run_sharded
 from repro.experiments.national_scale import national_spec
 from repro.hybrid import HybridSharqfecProtocol
+from repro.scenario import RunSpec
 from repro.sim.scheduler import Simulator
 from repro.testing import (
     assert_eventual_delivery,
@@ -31,8 +32,8 @@ from repro.testing.invariants import RepairContainment
 from repro.topology.figure10 import build_figure10
 
 
-def fig10_spec(seed: int = 1, fidelity: str = "packet", **kw) -> ShardedRunSpec:
-    return ShardedRunSpec(
+def fig10_spec(seed: int = 1, fidelity: str = "packet", **kw) -> RunSpec:
+    return RunSpec(
         topology="figure10",
         n_packets=32,
         seed=seed,
@@ -42,7 +43,7 @@ def fig10_spec(seed: int = 1, fidelity: str = "packet", **kw) -> ShardedRunSpec:
     )
 
 
-def small_national(seed: int, fidelity: str, n_packets: int = 16) -> ShardedRunSpec:
+def small_national(seed: int, fidelity: str, n_packets: int = 16) -> RunSpec:
     return national_spec(
         regions=2,
         cities_per_region=2,
@@ -107,8 +108,8 @@ def test_hybrid_off_is_byte_identical_to_packet(monkeypatch):
     assert off.nacks == packet.nacks
     assert off.events == packet.events
     assert off.completion == packet.completion
-    p_summary = packet.run_summary()
-    o_summary = off.run_summary()
+    p_summary = packet.record().summary
+    o_summary = off.record().summary
     # The fidelity label is the only permitted difference.
     assert o_summary.pop("fidelity") == "hybrid"
     assert p_summary.pop("fidelity") == "packet"

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.experiments.common as common
 import repro.obs.export as export
+import repro.scenario as scenario
 from repro.analysis.obsload import monitor_from_export
 from repro.experiments.common import ObservabilityOptions, run_traffic
 from repro.net.packet import Packet
@@ -97,7 +97,7 @@ def run(tmp_path_factory):
     """
     root = tmp_path_factory.mktemp("serializer")
     seen = {}
-    real_export, real_summarize = common.export_trace, export.summarize_detail
+    real_export, real_summarize = scenario.export_trace, export.summarize_detail
 
     def counting_summarize(detail):
         seen["summaries"] += 1
@@ -110,7 +110,7 @@ def run(tmp_path_factory):
             return real_export(path, manifest, seen["records"])
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(common, "export_trace", spying_export)
+        patch.setattr(scenario, "export_trace", spying_export)
         run_traffic(
             "SHARQFEC",
             n_packets=64,

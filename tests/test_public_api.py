@@ -5,7 +5,6 @@ from __future__ import annotations
 import importlib
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -50,51 +49,3 @@ def test_interface_implementations_are_registered():
     # The seam types and their implementations, via the curated surface.
     assert isinstance(repro.Simulator(seed=1), repro.Clock)
     assert isinstance(repro.Network(repro.Simulator(seed=1)), repro.Transport)
-
-
-def test_moved_names_warn_and_forward():
-    """`agent.sim` / `agent.network` / `channels.network` moved in PR 9."""
-    sim = repro.Simulator(seed=1)
-
-    class _Group:
-        def __init__(self, gid):
-            self.group_id = gid
-
-    class _FakeTransport:
-        def __init__(self):
-            self._next = 0
-
-        def create_group(self, name="", scope=None):
-            self._next += 1
-            return _Group(self._next)
-
-        def subscribe(self, group_id, node_id, handler):
-            pass
-
-        def unsubscribe(self, group_id, node_id, handler):
-            pass
-
-        def multicast(self, src, packet):
-            pass
-
-    transport = _FakeTransport()
-    hierarchy = repro.ZoneHierarchy()
-    hierarchy.add_root([0, 1], name="Z0")
-    channels = repro.ScopedChannels(transport, hierarchy)
-
-    from repro.core.receiver import SharqfecReceiver
-
-    agent = SharqfecReceiver(1, sim, transport, channels, repro.SharqfecConfig(), 0)
-    for obj, old, new in [
-        (channels, "network", "transport"),
-        (agent, "sim", "clock"),
-        (agent, "network", "transport"),
-        (agent.session, "sim", "clock"),
-    ]:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert getattr(obj, old) is getattr(obj, new)
-        assert any(
-            issubclass(w.category, DeprecationWarning) and old in str(w.message)
-            for w in caught
-        ), (type(obj).__name__, old)
