@@ -86,9 +86,6 @@ class ElectionCoordinator:
         self.clock = zcr.clock
         self.config = zcr.config
         self.transport = zcr.transport
-        # Legacy aliases from before the Clock/Transport split (PR 9).
-        self.sim = self.clock
-        self.network = self.transport
         self.channels = zcr.channels
         self.node_id = zcr.node_id
         self._rng = self.clock.rng.stream(f"zcrelect.{self.node_id}")

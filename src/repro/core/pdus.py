@@ -142,62 +142,23 @@ class SessionEntry(NamedTuple):
     rtt_estimate: float
 
 
-class SessionPdu(Packet):
-    """A scoped session message (§5).
+class EchoPdu(Packet):
+    """A session message: one echo row about each peer its sender has heard.
 
-    Contains the sender's timestamp, the zone's ZCR identity (with its
-    election epoch), the recorded ZCR-to-parent-ZCR distance, and one
-    :class:`SessionEntry` per peer heard in this zone.
+    The base of SHARQFEC's scoped :class:`SessionPdu` and SRM's full-mesh
+    ``SrmSessionPdu``.  ``entries`` holds named tuples that start with
+    ``peer_id``; :meth:`echo_index` is how a hearer finds the row about
+    itself.
     """
 
-    __slots__ = (
-        "zone_id",
-        "timestamp",
-        "zcr_id",
-        "zcr_parent_rtt",
-        "zcr_epoch",
-        "entries",
-        "highest_group",
-        "_echo_index",
-    )
+    __slots__ = ("entries", "_echo_index")
 
-    def __init__(
-        self,
-        src: int,
-        group: int,
-        size_bytes: int,
-        zone_id: int,
-        timestamp: float,
-        zcr_id: int,
-        zcr_parent_rtt: float,
-        entries: Tuple[SessionEntry, ...],
-        zcr_epoch: int = 0,
-        highest_group: int = -1,
-    ) -> None:
+    def __init__(self, src: int, group: int, size_bytes: int, entries: Tuple) -> None:
         super().__init__("SESSION", src, group, size_bytes, loss_exempt=True)
-        self.zone_id = zone_id
-        self.timestamp = timestamp
-        self.zcr_id = zcr_id
-        self.zcr_parent_rtt = zcr_parent_rtt
-        self.zcr_epoch = zcr_epoch
         self.entries = entries
-        # Highest group whose data transmission is known finished, or -1:
-        # the stream-extent advertisement that lets (re)joining receivers
-        # detect wholly-missed groups (SRM session highest_seq analogue).
-        self.highest_group = highest_group
-        self._echo_index: Optional[Dict[int, SessionEntry]] = None
+        self._echo_index: Optional[Dict[int, NamedTuple]] = None
 
-    _DESCRIBE_FIELDS = (
-        "zone_id",
-        "timestamp",
-        "zcr_id",
-        "zcr_parent_rtt",
-        "zcr_epoch",
-        "highest_group",
-        "entries",
-    )
-
-    def echo_index(self) -> Dict[int, SessionEntry]:
+    def echo_index(self) -> Dict[int, NamedTuple]:
         """``peer_id -> entry`` over :attr:`entries`.
 
         Built by the first hearer and shared by the rest: the simulator
@@ -219,10 +180,63 @@ class SessionPdu(Packet):
         # The index is a per-process cache; it must not ride a shard pipe.
         slots = {
             name: getattr(self, name)
-            for name in Packet.__slots__ + SessionPdu.__slots__
+            for klass in type(self).__mro__
+            for name in getattr(klass, "__slots__", ())
         }
         slots["_echo_index"] = None
         return None, slots
+
+
+class SessionPdu(EchoPdu):
+    """A scoped session message (§5).
+
+    Contains the sender's timestamp, the zone's ZCR identity (with its
+    election epoch), the recorded ZCR-to-parent-ZCR distance, and one
+    :class:`SessionEntry` per peer heard in this zone.
+    """
+
+    __slots__ = (
+        "zone_id",
+        "timestamp",
+        "zcr_id",
+        "zcr_parent_rtt",
+        "zcr_epoch",
+        "highest_group",
+    )
+
+    def __init__(
+        self,
+        src: int,
+        group: int,
+        size_bytes: int,
+        zone_id: int,
+        timestamp: float,
+        zcr_id: int,
+        zcr_parent_rtt: float,
+        entries: Tuple[SessionEntry, ...],
+        zcr_epoch: int = 0,
+        highest_group: int = -1,
+    ) -> None:
+        super().__init__(src, group, size_bytes, entries)
+        self.zone_id = zone_id
+        self.timestamp = timestamp
+        self.zcr_id = zcr_id
+        self.zcr_parent_rtt = zcr_parent_rtt
+        self.zcr_epoch = zcr_epoch
+        # Highest group whose data transmission is known finished, or -1:
+        # the stream-extent advertisement that lets (re)joining receivers
+        # detect wholly-missed groups (SRM session highest_seq analogue).
+        self.highest_group = highest_group
+
+    _DESCRIBE_FIELDS = (
+        "zone_id",
+        "timestamp",
+        "zcr_id",
+        "zcr_parent_rtt",
+        "zcr_epoch",
+        "highest_group",
+        "entries",
+    )
 
 
 class ZcrChallengePdu(Packet):

@@ -45,9 +45,6 @@ class ZcrElection:
         self.clock = session.clock
         self.config = session.config
         self.transport = session.transport
-        # Legacy aliases from before the Clock/Transport split (PR 9).
-        self.sim = self.clock
-        self.network = self.transport
         self.channels = session.channels
         self._rng = self.clock.rng.stream(f"zcr.{self.node_id}")
         # Per non-root chain zone:

@@ -39,11 +39,12 @@ from repro.engine.runner import (
 )
 from repro.engine.sync import CrossShardMessage, window_ends
 from repro.errors import EngineError
-from repro.scenario import RunSpec
+from repro.scenario import RunSpec, collector_paused
 
 # ------------------------------------------------------------------ reference
 
 
+@collector_paused()
 def run_reference(spec: RunSpec) -> MergedRun:
     """Run every logical shard in this process (the equivalence baseline).
 
@@ -73,8 +74,12 @@ def run_reference(spec: RunSpec) -> MergedRun:
 # ------------------------------------------------------------- multiprocessing
 
 
+@collector_paused()
 def _worker_main(conn, spec: RunSpec, plan: ShardPlan, shard_ids: List[int]) -> None:
     """Worker process: run the assigned logical shards in lockstep.
+
+    Paused like :func:`run_reference`, so the two engines are compared
+    under one memory policy.
 
     Protocol (parent -> worker): ``("window", end, {shard_id: [msg]})``
     answered with ``("ok", [outbound msg])``; ``("finish",)`` answered

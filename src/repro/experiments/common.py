@@ -29,6 +29,7 @@ from repro.scenario import (
     VARIANTS,
     RunSpec,
     World,
+    collector_paused,
     export_run,
     run_record,
     run_slug,
@@ -170,6 +171,7 @@ class TrafficRunResult:
         return bin_index(self.data_end, self.monitor.bin_width)
 
 
+@collector_paused()
 def run_traffic(
     protocol: str,
     n_packets: Optional[int] = None,
@@ -206,7 +208,9 @@ def run_traffic(
     leaves its partial metrics/trace on disk, marked with an ``error``
     field in the run summary.  A scenario that cannot be assembled (unknown
     variant, a fault plan naming an absent node) raises before anything has
-    run, so there is nothing to export.
+    run, so there is nothing to export.  The whole call runs under
+    :func:`~repro.scenario.collector_paused`; the collector is back as the
+    caller left it on return and on every raise.
     """
     if obs is None:
         obs = _observability.get()

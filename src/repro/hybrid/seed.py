@@ -239,6 +239,10 @@ def build_seed_plan(
         return dist
 
     process(hierarchy.root, None, None, members)
+    # ``process`` recurses through its own closure cell, a cycle; emptying
+    # the cell lets the function and what its cells hold (the per-zone
+    # member sets) go by reference count, not wait for a cyclic collection.
+    del process
     return plan
 
 

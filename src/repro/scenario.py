@@ -6,18 +6,22 @@ two decisions all harnesses share: the order a world is assembled in
 (:class:`World`) and what a finished run writes down (:func:`run_record`,
 :func:`export_run`).  The drivers stay with their callers:
 ``experiments.common.run_traffic`` runs one world to ``spec.run_end``,
-``repro.engine`` runs one world per logical shard in lookahead windows.
+``repro.engine`` runs one world per logical shard in lookahead windows;
+both run under :func:`collector_paused`, a bounded run's one
+memory-management policy.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
 import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SharqfecConfig
 from repro.core.protocol import SharqfecProtocol
@@ -244,6 +248,38 @@ class World:
         self.protocol.start(spec.session_start, spec.data_start)
         if spec.fault_plan is not None:
             FaultInjector(self.network, spec.fault_plan, protocol=self.protocol).arm()
+
+
+# ---------------------------------------------------------------- the driver
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """A bounded run's memory policy: collect once, then no cyclic passes.
+
+    A run allocates millions of containers and frees every one of them by
+    reference count: events, packets and trace records form no cycles
+    (``repro.testing.cyclic_garbage_after`` pins that at 0, independent of
+    stream length).  The cyclic collector cannot know; left on, it walks
+    the whole live world each generation-2 pass and finds nothing.  The
+    drivers therefore enter this around assemble -> run -> export.
+
+    The collection on entry is what keeps memory flat: the previous run's
+    world *is* cyclic (agents <-> timers <-> simulator) and, once dropped,
+    would otherwise sit beside the new one for the whole pause.  A caller
+    who already disabled the collector keeps every decision: nothing is
+    collected, nothing re-enabled.  Use only around work of bounded
+    lifetime.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- the record

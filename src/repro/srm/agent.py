@@ -177,12 +177,16 @@ class SrmAgent:
 
     def _handle_data(self, seq: int) -> None:
         self.data_received += 1
-        self._note_exists(seq - 1)
         self._mark_received(seq)
 
     def _mark_received(self, seq: int) -> None:
         if seq in self.received:
             return
+        # Whatever carried it — data, a repair, a bulk advance — packet
+        # ``seq`` proves its predecessors exist.  Repairs used to skip
+        # this: a member that was down when ``seq - 1`` went by raised
+        # ``highest_seen`` past the gap and never declared it a loss.
+        self._note_exists(seq - 1)
         self.received.add(seq)
         if seq > self.highest_seen:
             self.highest_seen = seq
@@ -211,7 +215,6 @@ class SrmAgent:
         for seq in sorted(received):
             if seq not in self.received:
                 self.data_received += 1
-                self._note_exists(seq - 1)
                 self._mark_received(seq)
         self._note_exists(upto_seq)
 
@@ -339,9 +342,9 @@ class SrmAgent:
     def _handle_session(self, pdu: SrmSessionPdu) -> None:
         now = self.clock.now
         self.rtt.record_heard(_SESSION_ZONE, pdu.src, pdu.timestamp, now)
-        for entry in pdu.entries:
-            if entry.peer_id == self.node_id:
-                self.rtt.close_echo(pdu.src, entry.peer_timestamp, entry.elapsed, now)
+        entry = pdu.echo_index().get(self.node_id)
+        if entry is not None:
+            self.rtt.close_echo(pdu.src, entry.peer_timestamp, entry.elapsed, now)
         # Tail-loss detection: the peer has seen packets we have not.
         if pdu.highest_seq > self.highest_seen and not self.is_source:
             self._note_exists(pdu.highest_seq)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
+from repro.core.pdus import EchoPdu
 from repro.net.packet import Packet
 
 
@@ -51,14 +52,14 @@ class SrmSessionEntry(NamedTuple):
     elapsed: float
 
 
-class SrmSessionPdu(Packet):
+class SrmSessionPdu(EchoPdu):
     """Full-mesh session message: timestamp echoes + highest sequence seen.
 
     The advertised ``highest_seq`` lets receivers detect tail losses that
     sequence gaps cannot reveal — standard SRM session semantics.
     """
 
-    __slots__ = ("timestamp", "highest_seq", "entries")
+    __slots__ = ("timestamp", "highest_seq")
 
     def __init__(
         self,
@@ -69,9 +70,8 @@ class SrmSessionPdu(Packet):
         highest_seq: int,
         entries: Tuple[SrmSessionEntry, ...],
     ) -> None:
-        super().__init__("SESSION", src, group, size_bytes, loss_exempt=True)
+        super().__init__(src, group, size_bytes, entries)
         self.timestamp = timestamp
         self.highest_seq = highest_seq
-        self.entries = entries
 
     _DESCRIBE_FIELDS = ("timestamp", "highest_seq", "entries")

@@ -2,8 +2,9 @@
 
 :mod:`repro.testing.invariants` holds the machine-checked protocol
 invariants (eventual delivery, repair containment, no duplicate delivery,
-determinism-under-fixed-seed).  This package also centralizes knobs the CI
-environment tunes, like the hypothesis example budget.
+determinism-under-fixed-seed, no cyclic garbage).  This package also
+centralizes knobs the CI environment tunes, like the hypothesis example
+budget.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.testing.invariants import (
     assert_replay_identical,
     assert_single_zcr_per_zone,
     connected_receivers,
+    cyclic_garbage_after,
     duplicate_injections,
     failover_latencies,
     heal_deadline,
@@ -41,6 +43,7 @@ __all__ = [
     "assert_replay_identical",
     "assert_single_zcr_per_zone",
     "connected_receivers",
+    "cyclic_garbage_after",
     "duplicate_injections",
     "failover_latencies",
     "heal_deadline",

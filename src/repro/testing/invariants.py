@@ -21,7 +21,9 @@ drivers all need to assert the same handful of end-to-end properties:
 * **bounded failover** — every ZCR failover completes within a stated
   suspect-to-adoption latency (:func:`assert_failover_within`);
 * **determinism** — a (topology, plan, seed) triple replays to a
-  byte-identical trace.
+  byte-identical trace;
+* **no cyclic garbage** — a run strands nothing for the cyclic collector
+  (:func:`cyclic_garbage_after`), which is what lets the drivers pause it.
 
 All checkers raise :class:`~repro.errors.InvariantViolation` (an
 ``AssertionError`` subclass) with a diagnostic message, so they slot into
@@ -30,12 +32,14 @@ pytest and into ad-hoc experiment scripts alike.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import InvariantViolation
 from repro.net.network import Network
 from repro.net.packet import Packet
+from repro.scenario import collector_paused
 from repro.sim.trace import TraceRecord
 
 #: Packet kinds that constitute repair traffic for containment accounting.
@@ -544,3 +548,24 @@ def assert_replay_identical(
                 f"  run {i}: ...{other[max(0, diff_at - 60) : diff_at + 60]!r}"
             )
     return first
+
+
+# ------------------------------------------------------------ cyclic garbage
+
+
+def cyclic_garbage_after(run: Callable[[], object]) -> int:
+    """Objects only the cyclic collector could free right after ``run()``.
+
+    Starts from a collected heap, runs with the collector paused, keeps
+    ``run``'s return value referenced and counts what a full collection
+    then finds unreachable.  A live world is full of cycles and none of
+    them is garbage; this counts what the run *stranded*.  The drivers'
+    :func:`~repro.scenario.collector_paused` rests on it being 0 whatever
+    the stream length.
+    """
+    with collector_paused():
+        gc.collect()  # a caller with the collector off gets a clean start too
+        result = run()
+        found = gc.collect()
+    del result  # held until here so that nothing it references was counted
+    return found

@@ -167,6 +167,19 @@ def _put_count(out: bytearray, n: int, what: str) -> None:
     out += _U16.pack(n)
 
 
+def _get_entries(
+    r: _Reader, entry_cls: Callable[..., Any], st: struct.Struct
+) -> Tuple[Any, ...]:
+    """A session message's echo rows (SHARQFEC's or SRM's), one per peer."""
+    (count,) = r.unpack(_U16)
+    entries = tuple(entry_cls(*r.unpack(st)) for _ in range(count))
+    if len({e.peer_id for e in entries}) != count:
+        # One echo per peer: a hearer closes its RTT loop from *the* row
+        # about itself, so a second row would be ambiguous, not additive.
+        raise WireError("session entries list a peer more than once")
+    return entries
+
+
 # ------------------------------------------------------------- body codecs
 #
 # One (encode_body, decode_body) pair per PDU type.  encode_body appends the
@@ -247,12 +260,7 @@ def _dec_session(r: _Reader) -> Dict[str, Any]:
     zone_id, timestamp, zcr_id, zcr_parent_rtt, zcr_epoch, highest_group = r.unpack(
         _SESSION_BODY
     )
-    (count,) = r.unpack(_U16)
-    entries = tuple(SessionEntry(*r.unpack(_SESSION_ENTRY)) for _ in range(count))
-    if len({e.peer_id for e in entries}) != count:
-        # One echo per peer: a hearer closes its RTT loop from *the* row
-        # about itself, so a second row would be ambiguous, not additive.
-        raise WireError("session entries list a peer more than once")
+    entries = _get_entries(r, SessionEntry, _SESSION_ENTRY)
     return {
         "zone_id": zone_id,
         "timestamp": timestamp,
@@ -366,8 +374,7 @@ def _enc_srm_session(p: SrmSessionPdu, out: bytearray) -> None:
 
 def _dec_srm_session(r: _Reader) -> Dict[str, Any]:
     timestamp, highest_seq = r.unpack(_SRM_SESSION_BODY)
-    (count,) = r.unpack(_U16)
-    entries = tuple(SrmSessionEntry(*r.unpack(_SRM_SESSION_ENTRY)) for _ in range(count))
+    entries = _get_entries(r, SrmSessionEntry, _SRM_SESSION_ENTRY)
     return {"timestamp": timestamp, "highest_seq": highest_seq, "entries": entries}
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
 from repro.srm.agent import SrmAgent
 from repro.srm.config import SrmConfig
+from repro.srm.pdus import SrmSessionEntry, SrmSessionPdu
 
 
 def make_pair(seed=1, loss=0.0, n_packets=16):
@@ -52,6 +55,19 @@ def test_repair_resolves_loss_and_cancels_timer():
     assert 1 not in rcv.losses
     assert not loss.timer.running
     assert 1 in rcv.received
+
+
+def test_repair_past_a_gap_declares_the_gap():
+    # A member that was down while 1 went by and comes back to a repair for
+    # 2: the repair proves 1 exists, exactly as a data packet would.  It
+    # used to raise highest_seen past the gap, after which no session
+    # advertisement could ever name it.
+    sim, net, src, rcv = make_pair()
+    rcv._handle_data(0)
+    rcv._handle_repair(2)
+    assert set(rcv.losses) == {1}
+    assert rcv.losses[1].timer.running
+    assert rcv.highest_seen == 2
 
 
 def test_duplicate_data_ignored():
@@ -129,3 +145,44 @@ def test_end_to_end_pair_with_loss():
     assert rcv.all_received()
     assert rcv.nacks_sent > 0
     assert src.repairs_sent > 0
+
+
+def _session(src, listed, group=9):
+    rows = tuple(SrmSessionEntry(peer, 0.5, 0.25) for peer in listed)
+    return SrmSessionPdu(src, group, 100, 1.0, -1, rows)
+
+
+def test_session_echo_closes_from_the_shared_index():
+    sim, net, src, rcv = make_pair()
+    sim.run(until=2.0)  # no session started: the clock just advances
+    pdu = _session(0, listed=(1, 7))
+    rcv._handle_session(pdu)
+    # rtt = now - peer_timestamp - elapsed, from the one row about node 1.
+    assert rcv.rtt.get(0) == pytest.approx(2.0 - 0.5 - 0.25)
+    assert set(pdu.echo_index()) == {1, 7}
+    assert pdu.echo_index() is pdu.echo_index()  # built once, then shared
+    # A hearer the message does not list records it but measures nothing.
+    rcv.rtt.forget(0)
+    rcv._handle_session(_session(0, listed=(7,)))
+    assert rcv.rtt.get(0) is None
+    assert 0 in rcv.rtt.heard_in_zone(0)
+
+
+def test_session_echo_index_stays_out_of_pickle_and_describe():
+    sim, net, src, rcv = make_pair()
+    pdu = _session(0, listed=(1, 7))
+    before, described = pickle.dumps(pdu), pdu.describe()
+    rcv._handle_session(pdu)
+    assert pdu._echo_index is not None  # the hearer did build it
+    assert pickle.dumps(pdu) == before
+    assert pdu.describe() == described
+    clone = pickle.loads(before)
+    assert clone._echo_index is None
+    assert (clone.uid, clone.highest_seq, clone.entries) == (pdu.uid, -1, pdu.entries)
+    assert clone.echo_index() == pdu.echo_index()
+
+
+def test_session_listing_a_peer_twice_is_refused():
+    sim, net, src, rcv = make_pair()
+    with pytest.raises(ValueError, match="more than once"):
+        rcv._handle_session(_session(0, listed=(1, 1)))

@@ -80,6 +80,20 @@ def test_tail_loss_detected_via_session():
     assert proto.all_complete()
 
 
+def test_receiver_crashed_mid_stream_catches_up():
+    """Receiver 11 is down for 0.5 s of an 8-packet stream and restarts to
+    a repair for a later packet.  That repair used to lift ``highest_seen``
+    past the packet missed while down, so no session advertisement could
+    name it again and the receiver stayed one short however long the drain
+    (completion 0.99888); SHARQFEC resyncs from the same plan."""
+    from repro.experiments.common import run_traffic
+    from repro.faults.plan import FaultPlan
+
+    plan = FaultPlan().crash_restart(6.02, 11, 0.5)
+    result = run_traffic("SRM", n_packets=8, seed=1, fault_plan=plan)
+    assert result.completion == 1.0
+
+
 def test_completion_fraction_monotone():
     sim = Simulator(seed=6)
     topo = build_figure10(sim)

@@ -248,6 +248,22 @@ def test_duplicate_session_peer_rejected():
     assert_roundtrip(_session_with(rows[:2]))
 
 
+def test_duplicate_srm_session_peer_rejected():
+    # SRM's full-mesh session closes echoes off the same per-PDU index.
+    rows = (
+        SrmSessionEntry(2, 11.5, 0.625),
+        SrmSessionEntry(3, 11.75, 0.375),
+        SrmSessionEntry(2, 11.9, 0.225),
+    )
+    with pytest.raises(WireError, match="more than once"):
+        decode(encode(SrmSessionPdu(8, 9, 220, 12.125, 40, rows)))
+    pdu = SrmSessionPdu(8, 9, 220, 12.125, 40, rows[:2])
+    plain = encode(pdu)
+    pdu.echo_index()
+    assert encode(pdu) == plain  # the index is never framed
+    assert_roundtrip(pdu)
+
+
 def test_duplicate_session_peer_refused_in_process_too():
     # The simulator never encodes, so the shared index refuses on its own.
     pdu = _session_with([SessionEntry(2, 1.0, 0.1, 0.04), SessionEntry(2, 2.0, 0.1, 0.04)])
@@ -301,7 +317,9 @@ session_entries = st.lists(
     unique_by=lambda e: e.peer_id,  # one echo per peer; duplicates are refused
 ).map(tuple)
 srm_entries = st.lists(
-    st.builds(SrmSessionEntry, i32, finite, finite), max_size=8
+    st.builds(SrmSessionEntry, i32, finite, finite),
+    max_size=8,
+    unique_by=lambda e: e.peer_id,
 ).map(tuple)
 outstanding = st.lists(st.tuples(i32, i32), max_size=8).map(tuple)
 
