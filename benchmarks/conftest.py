@@ -36,8 +36,8 @@ def pytest_terminal_summary(terminalreporter) -> None:
 
     The shape assertions say nothing about speed, but every cached run
     already carries its wall time and event count — surfacing them makes
-    perf regressions visible in ordinary benchmark output long before the
-    dedicated ``benchmarks/perf`` suite runs.
+    perf regressions visible in ordinary benchmark output long before
+    ``benchmarks/e2e/bench.py`` runs.
     """
     try:
         from repro.experiments.traffic_sim import _run_cache

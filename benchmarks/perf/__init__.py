@@ -1,9 +1,1 @@
-"""Wall-clock performance suite (see docs/PERFORMANCE.md).
-
-Unlike the figure benchmarks (which assert *shape*), these measure raw
-throughput of the simulator hot paths: events/sec on a timer-heavy churn
-run, packet deliveries/sec on the Figure 10/11 topology, codec MB/s, and
-the end-to-end runtime of the Figure 11 session experiment.  The numbers
-land in ``BENCH_PR3.json`` at the repo root and CI's perf-smoke job guards
-them against regressions.
-"""
+"""Seeded micro-kernels that ``benchmarks/e2e/kernels.py`` times (see suite.py)."""

@@ -1,38 +1,20 @@
-"""The wall-clock benchmark kernels.
+"""Seeded micro-kernels for the simulator's hot paths.
 
-Each ``bench_*`` function runs one deterministic, seeded workload against
-the *public* simulator APIs and returns a dict of measurements.  The
-workloads are frozen: the same definitions ran against the pre-optimization
-tree to produce the committed baseline in ``BENCH_PR3.json``, so speedups
-are apples-to-apples.
-
-Wall-clock numbers are taken with ``time.perf_counter`` over ``repeats``
-runs and the *best* run is reported — minimum wall time is the standard
-estimator for throughput benchmarks because noise is strictly additive.
+Each function runs one deterministic workload against the *public*
+simulator APIs.  ``benchmarks/e2e/kernels.py`` times them (median of five)
+for the per-layer ``sim.churn_events_per_s``, ``net.flood_pkts_per_s``,
+``obs.flood_overhead_ratio`` and ``fec.*_mb_per_s`` metrics.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from repro.sim.scheduler import Simulator
 from repro.sim.timers import Timer
 
 MB = 1024.0 * 1024.0
-
-
-def _best_wall(fn: Callable[[], object], repeats: int) -> tuple:
-    """Run ``fn`` ``repeats`` times; return (best_seconds, last_result)."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
-    return best, result
 
 
 # ------------------------------------------------------------- event core
@@ -69,16 +51,6 @@ def run_timer_churn(n_timers: int = 512, horizon: float = 40.0, seed: int = 7) -
     return sim.events_fired
 
 
-def bench_events(repeats: int = 3) -> Dict[str, float]:
-    """Events/sec on the timer-churn workload."""
-    wall, fired = _best_wall(run_timer_churn, repeats)
-    return {
-        "events_fired": float(fired),
-        "wall_s": wall,
-        "events_per_sec": fired / wall,
-    }
-
-
 # -------------------------------------------------------------- forwarding
 
 
@@ -88,8 +60,8 @@ def run_flood(n_packets: int = 512, seed: int = 3) -> tuple:
     No protocol agents: the source floods fixed-size data packets to all
     112 receivers through the lossy scoped tree.  This isolates the
     forwarding engine — tree walk, per-link FIFO accounting, Bernoulli
-    loss draws, arrival delivery — from SHARQFEC protocol logic, which
-    :func:`bench_fig11` covers end to end.  Returns (monitor, sim).
+    loss draws, arrival delivery — from SHARQFEC protocol logic.
+    Returns (monitor, sim).
     """
     from repro.net.monitor import TrafficMonitor
     from repro.net.packet import Packet
@@ -115,20 +87,6 @@ def run_flood(n_packets: int = 512, seed: int = 3) -> tuple:
         sim.at(i * 0.002, send)
     sim.run()
     return monitor, sim
-
-
-def bench_packets(n_packets: int = 512, seed: int = 3, repeats: int = 2) -> Dict[str, float]:
-    """Packet deliveries/sec for the forwarding-only flood workload."""
-    wall, result = _best_wall(lambda: run_flood(n_packets, seed), repeats)
-    monitor, sim = result
-    delivered = monitor.total(["DATA"])
-    return {
-        "packets_delivered": float(delivered),
-        "events_fired": float(sim.events_fired),
-        "wall_s": wall,
-        "packets_per_sec": delivered / wall,
-        "events_per_sec": sim.events_fired / wall,
-    }
 
 
 # ----------------------------------------------------------- observability
@@ -177,33 +135,6 @@ def run_flood_observed(n_packets: int = 512, seed: int = 3) -> tuple:
     return monitor, sim
 
 
-def bench_observer(n_packets: int = 512, seed: int = 3, repeats: int = 2) -> Dict[str, float]:
-    """Forwarding throughput with the observability layer off vs on.
-
-    ``*_off`` numbers come from the plain flood (no tracer listeners —
-    the default for every figure run); ``*_on`` adds per-zone traffic
-    aggregation.  ``overhead_ratio`` is on-wall over off-wall: the price
-    of full observation, which must stay bounded, while the off path must
-    stay within noise of the committed forwarding baseline.
-    """
-    wall_off, result_off = _best_wall(lambda: run_flood(n_packets, seed), repeats)
-    monitor_off, sim_off = result_off
-    wall_on, result_on = _best_wall(
-        lambda: run_flood_observed(n_packets, seed), repeats
-    )
-    monitor_on, _ = result_on
-    delivered = monitor_off.total(["DATA"])
-    assert monitor_on.total(["DATA"]) == delivered  # observation never perturbs
-    return {
-        "packets_delivered": float(delivered),
-        "wall_s": wall_off,
-        "wall_s_on": wall_on,
-        "packets_per_sec_off": delivered / wall_off,
-        "packets_per_sec_on": delivered / wall_on,
-        "overhead_ratio": wall_on / wall_off,
-    }
-
-
 # ------------------------------------------------------------------- codec
 
 
@@ -212,11 +143,10 @@ def _codec_workload(codec_cls, k: int, width: int, groups: int, n_repairs: int) 
     data = [bytes((i * 31 + j) % 256 for j in range(width)) for i in range(k)]
     encode_bytes = groups * k * width
 
-    def encode():
-        for _ in range(groups):
-            codec.encode(data, n_repairs)
-
-    enc_wall, _ = _best_wall(encode, 1)
+    t0 = time.perf_counter()
+    for _ in range(groups):
+        codec.encode(data, n_repairs)
+    enc_wall = time.perf_counter() - t0
 
     repairs = codec.encode(data, n_repairs)
     lossy = {i: data[i] for i in range(n_repairs, k)}
@@ -224,143 +154,11 @@ def _codec_workload(codec_cls, k: int, width: int, groups: int, n_repairs: int) 
         lossy[k + r] = repairs[r]
     decode_bytes = groups * k * width
 
-    def decode():
-        for _ in range(groups):
-            codec.decode(lossy)
-
-    dec_wall, _ = _best_wall(decode, 1)
+    t0 = time.perf_counter()
+    for _ in range(groups):
+        codec.decode(lossy)
+    dec_wall = time.perf_counter() - t0
     return {
         "encode_mb_per_sec": encode_bytes / MB / enc_wall,
         "decode_mb_per_sec": decode_bytes / MB / dec_wall,
-    }
-
-
-def bench_codec(k: int = 16, width: int = 1024, groups: int = 32, n_repairs: int = 4) -> Dict[str, float]:
-    """Erasure-codec throughput: the default codec plus both named paths."""
-    from repro.fec import ErasureCodec
-
-    try:
-        from repro.fec import default_codec
-    except ImportError:  # pre-optimization trees: the pure codec was the default
-        default_codec = ErasureCodec
-
-    out: Dict[str, float] = {}
-    pure = _codec_workload(ErasureCodec, k, width, groups, n_repairs)
-    out["pure_encode_mb_per_sec"] = pure["encode_mb_per_sec"]
-    out["pure_decode_mb_per_sec"] = pure["decode_mb_per_sec"]
-    default_cls = type(default_codec(k))
-    default = _codec_workload(default_cls, k, width, groups, n_repairs)
-    out["default_codec"] = default_cls.__name__
-    out["encode_mb_per_sec"] = default["encode_mb_per_sec"]
-    out["decode_mb_per_sec"] = default["decode_mb_per_sec"]
-    return out
-
-
-# ---------------------------------------------------------------- figure 11
-
-
-def bench_fig11(seed: int = 1, repeats: int = 3) -> Dict[str, float]:
-    """End-to-end wall clock of the Figure 11 session/RTT experiment."""
-    from repro.experiments.session_sim import run_rtt_experiment
-
-    wall, result = _best_wall(lambda: run_rtt_experiment(role="head", seed=seed), repeats)
-    return {
-        "wall_s": wall,
-        "rounds": float(len(result.rounds)),
-    }
-
-
-def bench_sharded(
-    workers: Tuple[int, ...] = (1, 2, 4),
-    n_packets: int = 8,
-    repeats: int = 1,
-) -> Dict[str, Dict[str, float]]:
-    """Shards-vs-wall-clock on the 10k-receiver national topology.
-
-    Deliberately *not* part of :func:`run_suite` — that set is frozen
-    against the PR-3 baseline, which predates the sharded engine.
-    ``run_sharded_bench.py`` drives this kernel and records the results
-    in ``BENCH_PR6.json`` at the repo root.
-    """
-    from repro.engine import run_reference, run_sharded
-    from repro.experiments.national_scale import national_spec
-
-    spec = national_spec(n_packets=n_packets)
-
-    def entry(run: Callable[[], object]) -> Dict[str, float]:
-        wall, merged = _best_wall(run, repeats)
-        return {
-            "wall_s": wall,
-            "receivers": float(merged.n_receivers),
-            "events": float(merged.events),
-            "completion": merged.completion,
-            "n_shards": float(merged.plan.n_shards),
-        }
-
-    out = {"reference": entry(lambda: run_reference(spec))}
-    for n in workers:
-        out[f"sharded_w{n}"] = entry(lambda n=n: run_sharded(spec, workers=n))
-    return out
-
-
-def bench_hybrid(
-    shapes: Tuple[Tuple[int, int, int, int], ...] = (
-        (2, 2, 5, 50),
-        (2, 5, 10, 50),
-        (4, 5, 10, 50),
-    ),
-    packet_shapes: Tuple[Tuple[int, int, int, int], ...] = (),
-    n_packets: int = 8,
-    repeats: int = 1,
-) -> Dict[str, Dict[str, float]]:
-    """Receivers-vs-wall-clock at flow fidelity on national topologies.
-
-    ``shapes`` are ``(regions, cities, suburbs, subscribers)`` tuples run
-    at hybrid fidelity (the default trio spans ~1k → ~10k receivers);
-    ``packet_shapes`` adds packet-fidelity rows at the same shapes so the
-    driver can pair them into speedups.  Like :func:`bench_sharded` this
-    is not part of :func:`run_suite` — it postdates the frozen PR-3
-    baseline and is driven by ``run_hybrid_bench.py`` into
-    ``BENCH_PR8.json``.
-    """
-    from repro.engine import run_reference
-    from repro.experiments.national_scale import national_spec
-
-    def entry(shape: Tuple[int, int, int, int], fidelity: str) -> Dict[str, float]:
-        regions, cities, suburbs, subscribers = shape
-        spec = national_spec(
-            regions=regions,
-            cities_per_region=cities,
-            suburbs_per_city=suburbs,
-            subscribers_per_suburb=subscribers,
-            n_packets=n_packets,
-            fidelity=fidelity,
-        )
-        wall, merged = _best_wall(lambda: run_reference(spec), repeats)
-        return {
-            "wall_s": wall,
-            "receivers": float(merged.n_receivers),
-            "events": float(merged.events),
-            "completion": merged.completion,
-            "nacks": float(merged.nacks),
-        }
-
-    out: Dict[str, Dict[str, float]] = {}
-    for shape in shapes:
-        metrics = entry(shape, "hybrid")
-        out[f"hybrid_r{int(metrics['receivers'])}"] = metrics
-    for shape in packet_shapes:
-        metrics = entry(shape, "packet")
-        out[f"packet_r{int(metrics['receivers'])}"] = metrics
-    return out
-
-
-def run_suite(repeats: int = 3) -> Dict[str, Dict[str, float]]:
-    """Run every kernel; returns {bench_name: measurements}."""
-    return {
-        "event_core": bench_events(repeats=repeats),
-        "forwarding": bench_packets(repeats=max(2, repeats - 1)),
-        "observer": bench_observer(repeats=max(2, repeats - 1)),
-        "codec": bench_codec(),
-        "fig11": bench_fig11(repeats=repeats),
     }

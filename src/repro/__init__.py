@@ -59,7 +59,6 @@ _EXPORTS = {
     "ScopedChannels": "repro.scoping.channels",
     # protocols
     "SharqfecConfig": "repro.core.config",
-    "FeatureFlags": "repro.core.config",
     "SharqfecProtocol": "repro.core.protocol",
     "SrmConfig": "repro.srm.config",
     "SrmProtocol": "repro.srm.protocol",
@@ -98,7 +97,7 @@ def __dir__():
 
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.core.config import FeatureFlags, SharqfecConfig
+    from repro.core.config import SharqfecConfig
     from repro.core.protocol import SharqfecProtocol
     from repro.errors import ReproError, WireError
     from repro.faults.injector import FaultInjector

@@ -16,66 +16,10 @@ SHARQFEC(ns,ni,so)        + ``sender_only=True``  (≈ ECSRM)
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.errors import ConfigError
-
-
-def _env_flag(name: str, default: str, *, false_values: Tuple[str, ...]) -> bool:
-    return os.environ.get(name, default).strip().lower() not in false_values
-
-
-@dataclass
-class FeatureFlags:
-    """First-class form of the runtime feature toggles.
-
-    Each field is tri-state: ``True``/``False`` pins the feature for this
-    config object regardless of the environment; ``None`` (the default)
-    defers to the documented ``SHARQFEC_*`` environment variable, so
-    processes that configure via the environment (CI toggle matrices, the
-    README's documented knobs) keep working unchanged.
-
-    =====================  ===============================  ============
-    Field                  Environment fallback             Env default
-    =====================  ===============================  ============
-    ``compiled_forwarding``  ``SHARQFEC_COMPILED_FORWARDING``  on (``1``)
-    ``pure_fec``             ``SHARQFEC_PURE_FEC``             off (``0``)
-    ``hybrid``               ``SHARQFEC_HYBRID``               on
-    =====================  ===============================  ============
-
-    All three toggles are equivalence knobs, never behaviour knobs: either
-    setting produces byte-identical protocol runs (the differential suites
-    pin this), only speed differs.
-    """
-
-    #: Compiled per-hop delivery schedules in :class:`repro.net.network.Network`
-    #: (``False`` walks the interpreted reference path).
-    compiled_forwarding: Optional[bool] = None
-    #: Force the pure-Python reference FEC codec even when numpy imports.
-    pure_fec: Optional[bool] = None
-    #: The hybrid packet/flow fidelity engine
-    #: (:class:`repro.hybrid.protocol.HybridSharqfecProtocol`).
-    hybrid: Optional[bool] = None
-
-    def compiled_forwarding_enabled(self) -> bool:
-        """Resolve the forwarding toggle (field first, then environment)."""
-        if self.compiled_forwarding is not None:
-            return self.compiled_forwarding
-        return os.environ.get("SHARQFEC_COMPILED_FORWARDING", "1") != "0"
-
-    def pure_fec_forced(self) -> bool:
-        """Resolve the codec toggle (field first, then environment)."""
-        if self.pure_fec is not None:
-            return self.pure_fec
-        return os.environ.get("SHARQFEC_PURE_FEC", "0") == "1"
-
-    def hybrid_enabled(self) -> bool:
-        """Resolve the hybrid-engine toggle (field first, then environment)."""
-        if self.hybrid is not None:
-            return self.hybrid
-        return _env_flag("SHARQFEC_HYBRID", "on", false_values=("off", "0", "false"))
 
 
 @dataclass
@@ -182,9 +126,6 @@ class SharqfecConfig:
     session_entry_size: int = 12
     session_header_size: int = 40
     zcr_pdu_size: int = 48
-
-    # --- runtime feature toggles (equivalence knobs, not behaviour) ---
-    flags: FeatureFlags = field(default_factory=FeatureFlags)
 
     def __post_init__(self) -> None:
         if self.group_size < 1:

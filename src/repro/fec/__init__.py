@@ -14,9 +14,8 @@ Reed–Solomon code over GF(2^8):
 
 :func:`default_codec` picks the fastest available implementation: the
 numpy-vectorized codec when numpy imports, the pure-Python reference
-otherwise (or when ``SHARQFEC_PURE_FEC=1`` forces it, e.g. for the
-equivalence tests).  The two produce byte-identical payloads by
-construction — the fast codec reuses the reference generator rows.
+otherwise.  The two produce byte-identical payloads by construction — the
+fast codec reuses the reference generator rows.
 """
 
 from repro.fec.codec import ErasureCodec, encode_blob, decode_blob

@@ -29,22 +29,13 @@ from repro.fec.gf256 import GF256
 HAVE_NUMPY = np is not None
 
 
-def default_codec(k: int, flags=None):
+def default_codec(k: int):
     """The preferred codec for group size ``k``.
 
-    The numpy-vectorized codec when numpy is importable and the resolved
-    feature flags do not force the reference path, else the pure-Python
-    codec.  Byte-identical output either way.
-
-    ``flags`` is an optional :class:`repro.core.config.FeatureFlags`; when
-    omitted the documented ``SHARQFEC_PURE_FEC`` environment fallback
-    applies.
+    The numpy-vectorized codec when numpy is importable, else the
+    pure-Python codec.  Byte-identical output either way.
     """
-    if flags is None:
-        from repro.core.config import FeatureFlags
-
-        flags = FeatureFlags()
-    if HAVE_NUMPY and not flags.pure_fec_forced():
+    if HAVE_NUMPY:
         return NumpyErasureCodec(k)
     return ErasureCodec(k)
 

@@ -2,13 +2,12 @@
 
 Packet fidelity for the control plane (NACK/repair/session/election,
 faults, churn), analytical flow fidelity for steady-state bulk data, and
-a pre-converged, wake-on-disturbance session plane.  Toggle with the
-``SHARQFEC_HYBRID`` environment variable (default ``on``; ``off`` makes
-:class:`HybridSharqfecProtocol` byte-identical to the packet engine).
+a pre-converged, wake-on-disturbance session plane.  Selected per run by
+``RunSpec(fidelity="hybrid")``.
 """
 
 from repro.hybrid.flow import FlowDataEngine
-from repro.hybrid.protocol import HybridSharqfecProtocol, hybrid_enabled
+from repro.hybrid.protocol import HybridSharqfecProtocol
 from repro.hybrid.seed import (
     SeedPlan,
     apply_seed_plan,
@@ -22,6 +21,5 @@ __all__ = [
     "SeedPlan",
     "apply_seed_plan",
     "build_seed_plan",
-    "hybrid_enabled",
     "seed_converged_state",
 ]

@@ -22,32 +22,16 @@ replacement that splits the run by *plane* rather than by packet:
   adapts from the seeded beliefs exactly as from learned ones.  A run
   with no disturbances (the steady-state scaling regime this engine
   exists for) never pays for session gossip at all.
-
-The ``SHARQFEC_HYBRID`` environment toggle (default ``on``) gates the
-whole layer: when off, this class defers to ``SharqfecProtocol.start``
-verbatim, producing a byte-identical run — the parity anchor the
-differential suite pins.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from repro.core.config import FeatureFlags
 from repro.core.protocol import SharqfecProtocol, _remote_member_handler
 from repro.errors import ConfigError
 from repro.hybrid.flow import FlowDataEngine
 from repro.hybrid.seed import seed_converged_state
-
-
-def hybrid_enabled(flags: Optional[FeatureFlags] = None) -> bool:
-    """Resolve the hybrid toggle.
-
-    ``flags`` (e.g. ``config.flags``) wins when it pins the feature; the
-    ``SHARQFEC_HYBRID`` environment variable (default ``on``; off on
-    ``off``/``0``/``false``) is the documented fallback.
-    """
-    return (flags if flags is not None else FeatureFlags()).hybrid_enabled()
 
 
 class HybridSharqfecProtocol(SharqfecProtocol):
@@ -73,21 +57,16 @@ class HybridSharqfecProtocol(SharqfecProtocol):
             local_nodes,
         )
         self._static_zcrs = dict(static_zcrs) if static_zcrs else None
-        self._active = hybrid_enabled(config.flags)
         self._seeded = False
         self._awake = False
         self.flow: Optional[FlowDataEngine] = None
         #: Converged zone→ZCR assignment (populated at seed time).
         self.zcr_of: Optional[Dict[int, Optional[int]]] = None
-        if self._active:
-            network.on_disturbance.append(self._on_disturbance)
+        network.on_disturbance.append(self._on_disturbance)
 
     # -------------------------------------------------------------- lifecycle
 
     def start(self, session_start: float = 1.0, data_start: float = 6.0) -> None:
-        if not self._active:
-            super().start(session_start, data_start)
-            return
         if data_start < session_start:
             raise ConfigError("data must not start before the session")
         self.sim.at(session_start, self._seed_sessions)

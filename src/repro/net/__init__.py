@@ -12,7 +12,7 @@ from repro.net.monitor import PacketEvent, TrafficMonitor
 from repro.net.multicast import MulticastGroup
 from repro.net.network import DEFAULT_RECONVERGENCE_DELAY, Network
 from repro.net.node import Node
-from repro.net.packet import Packet, UnicastPacket
+from repro.net.packet import Packet
 from repro.net.routing import (
     RoutingTable,
     best_effort_tree,
@@ -27,7 +27,6 @@ __all__ = [
     "Network",
     "Node",
     "Packet",
-    "UnicastPacket",
     "PacketEvent",
     "RoutingTable",
     "TrafficMonitor",

@@ -30,7 +30,7 @@ class MulticastGroup:
         self.name = name or f"g{group_id}"
         self.subscribers: Set[int] = set()
         self.scope: Optional[Set[int]] = set(scope) if scope is not None else None
-        # Bumped on membership/scope change; the Network uses it to
+        # Bumped on membership change; the Network uses it to
         # invalidate cached multicast trees.
         self.version = 0
 
@@ -49,18 +49,6 @@ class MulticastGroup:
         if node_id in self.subscribers:
             self.subscribers.discard(node_id)
             self.version += 1
-
-    def set_scope(self, scope: Optional[Set[int]]) -> None:
-        """Replace the scope.  Existing subscribers must remain inside it."""
-        if scope is not None:
-            outside = self.subscribers - set(scope)
-            if outside:
-                raise ScopeError(
-                    f"subscribers {sorted(outside)} would fall outside new scope "
-                    f"of group {self.name!r}"
-                )
-        self.scope = set(scope) if scope is not None else None
-        self.version += 1
 
     def allows(self, node_id: int) -> bool:
         """True if packets on this group may traverse ``node_id``."""

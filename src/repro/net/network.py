@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -29,15 +28,12 @@ from typing import (
     Tuple,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
-    from repro.core.config import FeatureFlags
-
 from repro.errors import RoutingError, ScopeError, TopologyError
 from repro.net.link import Link
 from repro.net.monitor import PacketEvent
 from repro.net.multicast import MulticastGroup
 from repro.net.node import DeliveryHandler, Node
-from repro.net.packet import Packet, UnicastPacket
+from repro.net.packet import Packet
 from repro.net.routing import RoutingTable, best_effort_tree, shortest_paths
 from repro.sim.scheduler import Simulator
 
@@ -51,23 +47,14 @@ class Network:
     def __init__(
         self,
         sim: Simulator,
-        reconvergence_delay: Optional[float] = DEFAULT_RECONVERGENCE_DELAY,
-        flags: Optional["FeatureFlags"] = None,
+        reconvergence_delay: float = DEFAULT_RECONVERGENCE_DELAY,
     ) -> None:
-        # Imported here: repro.core pulls in the protocol stack (which
-        # imports this module) at package-init time.
-        from repro.core.config import FeatureFlags
-
         self.sim = sim
-        #: Resolved feature toggles (explicit object wins; otherwise the
-        #: documented SHARQFEC_* environment fallbacks).
-        self.flags = flags if flags is not None else FeatureFlags()
         self.nodes: Dict[int, Node] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
         self._adjacency: Dict[int, Dict[int, float]] = {}
         self.groups: Dict[int, MulticastGroup] = {}
         self._next_group_id = 1
-        self._tree_cache: Dict[Tuple[int, int], Tuple[int, Dict[int, List[int]]]] = {}
         # Compiled delivery schedules: (group_id, src) -> (stamp, root record).
         # A record is (node_id, node, group, kids) with kids a tuple of
         # (link, child_record) pairs — the whole per-hop fan-out resolved
@@ -83,23 +70,17 @@ class Network:
         self._obs_drop: tuple = ()
         self._loss_rng = sim.rng.stream("net.loss")
         self._loss_random = self._loss_rng.random
-        #: When True (default) multicast forwarding walks compiled per-hop
-        #: delivery schedules; False falls back to the reference per-packet
-        #: children-dict walk.  Both paths are replay-identical — the flag
-        #: exists so the equivalence tests can prove it.
-        self.compiled_forwarding = self.flags.compiled_forwarding_enabled()
         # Memoized tracer interest flags, refreshed when the tracer's
         # subscription table version changes (see _refresh_trace_flags).
         self._trace_version = -1
         self._t_send = self._t_recv = self._t_drop = False
-        self._t_qdrop = self._t_nodedrop = self._t_stifled = self._t_noroute = False
+        self._t_qdrop = self._t_nodedrop = self._t_stifled = False
         # Optional deterministic loss oracle: callable(link, packet) -> bool
         # (True = drop).  When set it replaces the Bernoulli draws entirely;
         # conformance tests use it to script exact loss patterns.
         self.loss_oracle: Optional[Callable[[Link, Packet], bool]] = None
         #: Seconds between a link/node state change and routing catching up
-        #: to it.  ``None`` disables reconvergence entirely (the legacy
-        #: permanent-blackhole model: the pre-fault routes live forever).
+        #: to it.
         self.reconvergence_delay = reconvergence_delay
         #: Count of reconvergence events that have fired (observability).
         self.reconvergences = 0
@@ -162,7 +143,6 @@ class Network:
         self._t_qdrop = wants("pkt.qdrop")
         self._t_nodedrop = wants("pkt.nodedrop")
         self._t_stifled = wants("pkt.stifled")
-        self._t_noroute = wants("pkt.noroute")
 
     # ---------------------------------------------------------------- builders
 
@@ -333,7 +313,6 @@ class Network:
 
     def _invalidate(self) -> None:
         self._topology_version += 1
-        self._tree_cache.clear()
         self._sched_cache.clear()
         self._routing_cache.clear()
         self._index_cache.clear()
@@ -415,8 +394,7 @@ class Network:
         from the *last converged* adjacency snapshot — traffic keeps
         blackholing into the failed element, as under a real IGP — until
         ``reconvergence_delay`` elapses and :meth:`_reconverge` snapshots
-        the live adjacency.  With ``reconvergence_delay=None`` routing
-        never catches up (the legacy permanent-blackhole model).
+        the live adjacency.
 
         Called by :meth:`set_link_up` / :meth:`set_node_up`; fault tooling
         that fails links directly (e.g. the injector's partitions) must
@@ -425,8 +403,6 @@ class Network:
         self._invalidate()
         for callback in tuple(self.on_disturbance):
             callback()
-        if self.reconvergence_delay is None:
-            return
         self.sim.schedule(self.reconvergence_delay, self._reconverge)
 
     def _reconverge(self) -> None:
@@ -478,11 +454,6 @@ class Network:
         self._observers.append(observer)
         self._rebuild_observer_cache()
 
-    def remove_observer(self, observer: object) -> None:
-        """Detach a previously attached observer."""
-        self._observers.remove(observer)
-        self._rebuild_observer_cache()
-
     def _rebuild_observer_cache(self) -> None:
         observers = self._observers
         self._obs_send = tuple(
@@ -494,12 +465,6 @@ class Network:
         self._obs_drop = tuple(
             cb for cb in (getattr(o, "on_drop", None) for o in observers) if cb
         )
-
-    def _notify(self, method: str, event: PacketEvent) -> None:
-        for observer in self._observers:
-            callback = getattr(observer, method, None)
-            if callback is not None:
-                callback(event)
 
     # --------------------------------------------------------------- multicast
 
@@ -522,30 +487,29 @@ class Network:
             if self._t_stifled:
                 self.sim.tracer.emit(self.sim.now, "pkt.stifled", src, packet)
             return
-        if self.compiled_forwarding:
-            record = self._schedule_for(src, group)
-            if self._obs_send:
-                event = PacketEvent(self.sim.now, src, packet.kind, packet.size_bytes, True)
-                for callback in self._obs_send:
-                    callback(event)
-            if self._t_send:
-                self.sim.tracer.emit(self.sim.now, "pkt.send", src, packet)
-            self._forward_fast(record, packet)
-            return
-        children = self._tree_for(src, group)
-        if self._observers:
-            self._notify(
-                "on_send",
-                PacketEvent(self.sim.now, src, packet.kind, packet.size_bytes, True),
-            )
+        record = self._schedule_for(src, group)
+        if self._obs_send:
+            event = PacketEvent(self.sim.now, src, packet.kind, packet.size_bytes, True)
+            for callback in self._obs_send:
+                callback(event)
         if self._t_send:
             self.sim.tracer.emit(self.sim.now, "pkt.send", src, packet)
-        self._forward_hops(children, src, packet)
+        self._forward_fast(record, packet)
 
-    def _tree_for(self, src: int, group: MulticastGroup) -> Dict[int, List[int]]:
+    def _schedule_for(self, src: int, group: MulticastGroup) -> tuple:
+        """Compiled per-hop delivery schedule for the (group, src) tree.
+
+        Flattens the scoped shortest-path tree into linked records —
+        ``(node_id, node, group, kids)`` with ``kids`` a tuple of
+        ``(link, child_record)`` — so the per-packet inner loop touches no
+        dicts at all: links, nodes and the group are resolved once per
+        topology/membership version.  Liveness (node.up) and membership
+        (group.subscribers) stay dynamic, so a fault or a leave takes
+        effect on packets already in flight.
+        """
         key = (group.group_id, src)
-        cached = self._tree_cache.get(key)
         stamp = group.version + (self._topology_version << 32)
+        cached = self._sched_cache.get(key)
         if cached is not None and cached[0] == stamp:
             return cached[1]
         members = set(group.subscribers)
@@ -571,28 +535,6 @@ class Network:
                     f"group {group.name!r}: member {min(hard)} "
                     f"unreachable from {src}"
                 )
-        self._tree_cache[key] = (stamp, children)
-        return children
-
-    # ------------------------------------------------- compiled fast path
-
-    def _schedule_for(self, src: int, group: MulticastGroup) -> tuple:
-        """Compiled per-hop delivery schedule for the (group, src) tree.
-
-        Flattens the cached children dict into linked records —
-        ``(node_id, node, group, kids)`` with ``kids`` a tuple of
-        ``(link, child_record)`` — so the per-packet inner loop touches no
-        dicts at all: links, nodes and the group are resolved once per
-        topology/membership version.  Liveness (node.up) and membership
-        (group.subscribers) stay dynamic, so faults and churn behave
-        exactly like the reference walk.
-        """
-        key = (group.group_id, src)
-        stamp = group.version + (self._topology_version << 32)
-        cached = self._sched_cache.get(key)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        children = self._tree_for(src, group)
         record = self._compile_record(src, group, children)
         self._sched_cache[key] = (stamp, record)
         return record
@@ -708,61 +650,6 @@ class Network:
         if kids:
             self._forward_fast(record, packet)
 
-    # ---------------------------------------------- reference (dict walk)
-
-    def _forward_hops(self, children: Dict[int, List[int]], node: int, packet: Packet) -> None:
-        kids = children.get(node)
-        if not kids:
-            return
-        now = self.sim.now
-        for child in kids:
-            link = self._links[(node, child)]
-            if self._drops(link, packet):
-                link.record_drop()
-                if self._observers:
-                    self._notify(
-                        "on_drop",
-                        PacketEvent(now, child, packet.kind, packet.size_bytes, False),
-                    )
-                self.sim.tracer.emit(now, "pkt.drop", child, packet)
-                continue
-            arrival = link.transmit(now, packet.size_bytes)
-            if arrival is None:  # drop-tail queue overflow
-                if self._observers:
-                    self._notify(
-                        "on_drop",
-                        PacketEvent(now, child, packet.kind, packet.size_bytes, False),
-                    )
-                self.sim.tracer.emit(now, "pkt.qdrop", child, packet)
-                continue
-            if self._owned is not None and child not in self._owned:
-                self._boundary(arrival, child, packet)
-                continue
-            self.sim.at(arrival, self._arrive_multicast, packet, children, child)
-
-    def _arrive_multicast(self, packet: Packet, children: Dict[int, List[int]], node: int) -> None:
-        if not self.nodes[node].up:
-            # The packet reached a crashed node: neither delivered to local
-            # handlers nor forwarded into the subtree below.
-            if self._observers:
-                self._notify(
-                    "on_drop",
-                    PacketEvent(self.sim.now, node, packet.kind, packet.size_bytes, False),
-                )
-            self.sim.tracer.emit(self.sim.now, "pkt.nodedrop", node, packet)
-            return
-        group = self.groups.get(packet.group)
-        is_subscriber = group is not None and node in group.subscribers
-        if self._observers:
-            self._notify(
-                "on_receive",
-                PacketEvent(self.sim.now, node, packet.kind, packet.size_bytes, is_subscriber),
-            )
-        if is_subscriber:
-            self.sim.tracer.emit(self.sim.now, "pkt.recv", node, packet)
-            self.nodes[node].deliver(packet)
-        self._forward_hops(children, node, packet)
-
     # ------------------------------------------------------- remote injection
 
     def deliver_remote(self, packet: Packet, node: int) -> None:
@@ -781,11 +668,7 @@ class Network:
         if self.sim.tracer.version != self._trace_version:
             self._refresh_trace_flags()
         group = self._group(packet.group)
-        if self.compiled_forwarding:
-            self._arrive_fast(packet, self._injection_record(packet.src, group, node))
-        else:
-            children = self._tree_for(packet.src, group)
-            self._arrive_multicast(packet, children, node)
+        self._arrive_fast(packet, self._injection_record(packet.src, group, node))
 
     def _injection_record(self, src: int, group: MulticastGroup, node: int) -> tuple:
         """Compiled record for ``node`` within the (group, src) schedule.
@@ -814,77 +697,6 @@ class Network:
         if record is None:
             record = (node, self.nodes[node], group, ())
         return record
-
-    # ----------------------------------------------------------------- unicast
-
-    def unicast(self, packet: UnicastPacket) -> None:
-        """Send a unicast packet hop-by-hop along the shortest path."""
-        if packet.dst not in self.nodes:
-            raise RoutingError(f"unknown destination {packet.dst}")
-        if self.sim.tracer.version != self._trace_version:
-            self._refresh_trace_flags()
-        if not self.nodes[packet.src].up:
-            if self._t_stifled:
-                self.sim.tracer.emit(self.sim.now, "pkt.stifled", packet.src, packet)
-            return
-        table = self.routing_table(packet.src)
-        try:
-            path = table.path_to(packet.dst)
-        except RoutingError:
-            # No converged route (severed by faults): the packet dies at
-            # the source, like an IP lookup miss.
-            if self._t_noroute:
-                self.sim.tracer.emit(self.sim.now, "pkt.noroute", packet.src, packet)
-            return
-        if self._owned is not None and any(n not in self._owned for n in path):
-            raise RoutingError(
-                f"unicast {packet.src}->{packet.dst} crosses the shard boundary; "
-                "sharded runs carry multicast traffic only"
-            )
-        if self._observers:
-            self._notify(
-                "on_send",
-                PacketEvent(self.sim.now, packet.src, packet.kind, packet.size_bytes, True),
-            )
-        self._unicast_hop(packet, path, 0)
-
-    def _unicast_hop(self, packet: UnicastPacket, path: List[int], index: int) -> None:
-        if index > 0 and not self.nodes[path[index]].up:
-            # Arrived at a crashed relay (or destination): the packet dies.
-            if self._observers:
-                self._notify(
-                    "on_drop",
-                    PacketEvent(self.sim.now, path[index], packet.kind, packet.size_bytes, False),
-                )
-            self.sim.tracer.emit(self.sim.now, "pkt.nodedrop", path[index], packet)
-            return
-        if index + 1 >= len(path):
-            if self._observers:
-                self._notify(
-                    "on_receive",
-                    PacketEvent(self.sim.now, packet.dst, packet.kind, packet.size_bytes, True),
-                )
-            self.nodes[packet.dst].deliver_unicast(packet)
-            return
-        node, nxt = path[index], path[index + 1]
-        link = self._links[(node, nxt)]
-        if self._drops(link, packet):
-            link.record_drop()
-            if self._observers:
-                self._notify(
-                    "on_drop",
-                    PacketEvent(self.sim.now, nxt, packet.kind, packet.size_bytes, False),
-                )
-            return
-        arrival = link.transmit(self.sim.now, packet.size_bytes)
-        if arrival is None:  # drop-tail queue overflow
-            if self._observers:
-                self._notify(
-                    "on_drop",
-                    PacketEvent(self.sim.now, nxt, packet.kind, packet.size_bytes, False),
-                )
-            return
-        self.sim.call_at(arrival, self._unicast_hop, packet, path, index + 1)
 
     # ------------------------------------------------------------------- query
 

@@ -17,7 +17,7 @@ DeliveryHandler = Callable[[Packet], None]
 class Node:
     """A network node identified by a small integer id."""
 
-    __slots__ = ("node_id", "name", "up", "_handlers", "_unicast_handler")
+    __slots__ = ("node_id", "name", "up", "_handlers")
 
     def __init__(self, node_id: int, name: Optional[str] = None) -> None:
         self.node_id = node_id
@@ -31,7 +31,6 @@ class Node:
         # defensive copy, and (un)subscribing mid-delivery replaces the
         # tuple rather than mutating the one being iterated.
         self._handlers: Dict[int, Tuple[DeliveryHandler, ...]] = {}
-        self._unicast_handler: Optional[DeliveryHandler] = None
 
     # ----------------------------------------------------------- subscription
 
@@ -51,10 +50,6 @@ class Node:
         else:
             del self._handlers[group]
 
-    def set_unicast_handler(self, handler: Optional[DeliveryHandler]) -> None:
-        """Install the callback for unicast packets addressed to this node."""
-        self._unicast_handler = handler
-
     def groups(self) -> List[int]:
         """Group ids this node currently has handlers for."""
         return list(self._handlers)
@@ -67,11 +62,6 @@ class Node:
         if handlers:
             for handler in handlers:
                 handler(packet)
-
-    def deliver_unicast(self, packet: Packet) -> None:
-        """Hand a unicast packet to the unicast handler, if any."""
-        if self._unicast_handler is not None:
-            self._unicast_handler(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.node_id} {self.name!r}>"

@@ -9,7 +9,7 @@ for the protocol agents.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 _packet_uid = itertools.count(1)
 
@@ -92,28 +92,3 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.describe()} uid={self.uid}>"
-
-
-class UnicastPacket(Packet):
-    """A packet addressed to a single destination node.
-
-    Provided for completeness of the substrate; the SHARQFEC and SRM agents
-    are multicast-only, but tests and downstream users exercise unicast.
-    """
-
-    __slots__ = ("dst",)
-
-    def __init__(
-        self,
-        kind: str,
-        src: int,
-        dst: int,
-        size_bytes: int,
-        loss_exempt: bool = False,
-        group: Optional[int] = None,
-    ) -> None:
-        super().__init__(kind, src, -1 if group is None else group, size_bytes, loss_exempt)
-        self.dst = dst
-
-    def describe(self) -> str:
-        return f"{self.kind}(src={self.src}, dst={self.dst}, {self.size_bytes}B)"

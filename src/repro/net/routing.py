@@ -1,7 +1,7 @@
 """Shortest-path routing.
 
-Dijkstra over link propagation latency.  Used for unicast next-hops, for
-multicast tree construction, and by the experiment drivers to compute the
+Dijkstra over link propagation latency.  Used for multicast tree
+construction, for path loss, and by the experiment drivers to compute the
 *true* RTT matrix against which SHARQFEC's indirect estimates are scored
 (Figures 11–13).
 """
@@ -164,10 +164,3 @@ class RoutingTable:
             path.append(self._parent[path[-1]])
         path.reverse()
         return path
-
-    def next_hop(self, node: int) -> int:
-        """First hop on the path from the source toward ``node``."""
-        path = self.path_to(node)
-        if len(path) < 2:
-            raise RoutingError(f"{node} is the source itself")
-        return path[1]

@@ -36,7 +36,6 @@ PKT_CATEGORIES: Tuple[str, ...] = (
     "pkt.qdrop",
     "pkt.nodedrop",
     "pkt.stifled",
-    "pkt.noroute",
 )
 
 #: Agent-level protocol categories (emitted by repro.core / repro.srm).

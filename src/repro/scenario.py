@@ -131,8 +131,7 @@ class RunSpec:
     fault_plan: Optional[FaultPlan] = None
     capture_trace: bool = False
     #: "packet" simulates every data packet hop by hop; "hybrid" swaps in
-    #: the packet/flow fidelity protocol (see docs/HYBRID.md).  The hybrid
-    #: layer still honors the SHARQFEC_HYBRID env toggle at run time.
+    #: the packet/flow fidelity protocol (see docs/HYBRID.md).
     fidelity: str = "packet"
 
     def validate(self) -> None:

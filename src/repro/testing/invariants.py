@@ -130,7 +130,7 @@ def heal_deadline(network: Network, plan, bound: float) -> float:
     before routing follows the restored topology, and ``bound`` is the
     protocol-recovery allowance granted on top of that.
     """
-    return plan.last_time + (network.reconvergence_delay or 0.0) + bound
+    return plan.last_time + network.reconvergence_delay + bound
 
 
 def assert_recovery_within(

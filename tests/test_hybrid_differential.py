@@ -1,10 +1,8 @@
 """Differential equivalence suite: hybrid fidelity vs. the packet engine.
 
-The hybrid engine (docs/HYBRID.md) promises three different strengths of
+The hybrid engine (docs/HYBRID.md) promises two different strengths of
 equivalence, each pinned here:
 
-* **byte-identical** when disabled: ``SHARQFEC_HYBRID=off`` must reproduce
-  the packet engine's trace and summary exactly;
 * **deterministic across engines**: a sharded hybrid run equals the
   in-process hybrid reference run record for record;
 * **statistical** against packet fidelity: completion is exact (1.0 on
@@ -97,27 +95,10 @@ def test_statistical_tolerance_across_seeds():
     assert 0.5 <= h_drops / p_drops <= 2.0
 
 
-# ------------------------------------------------------ byte-identical modes
+# ------------------------------------------------------ deterministic engines
 
 
-def test_hybrid_off_is_byte_identical_to_packet(monkeypatch):
-    monkeypatch.setenv("SHARQFEC_HYBRID", "off")
-    packet = run_reference(fig10_spec(fidelity="packet"))
-    off = run_reference(fig10_spec(fidelity="hybrid"))
-    assert off.trace == packet.trace
-    assert off.nacks == packet.nacks
-    assert off.events == packet.events
-    assert off.completion == packet.completion
-    p_summary = packet.record().summary
-    o_summary = off.record().summary
-    # The fidelity label is the only permitted difference.
-    assert o_summary.pop("fidelity") == "hybrid"
-    assert p_summary.pop("fidelity") == "packet"
-    assert o_summary == p_summary
-
-
-def test_sharded_hybrid_equals_reference(monkeypatch):
-    monkeypatch.delenv("SHARQFEC_HYBRID", raising=False)
+def test_sharded_hybrid_equals_reference():
     spec = small_national(1, "hybrid")
     ref = run_reference(spec)
     sharded = run_sharded(spec, workers=2)
@@ -146,10 +127,9 @@ def test_fault_plan_wakes_session_and_recovers():
     assert woken.events > quiet.events
 
 
-def test_invariants_on_direct_hybrid_protocol(monkeypatch):
+def test_invariants_on_direct_hybrid_protocol():
     """Eventual delivery, no duplicate data, and repair containment hold
     when driving :class:`HybridSharqfecProtocol` directly (no engine)."""
-    monkeypatch.delenv("SHARQFEC_HYBRID", raising=False)
     sim = Simulator(seed=5)
     topo = build_figure10(sim)
     cfg = SharqfecConfig(n_packets=32)

@@ -137,10 +137,9 @@ def test_bulk_advance_noop_when_stopped():
 # ------------------------------------------------------------- session seed
 
 
-def test_seeded_zcrs_match_converged_packet_session(monkeypatch):
+def test_seeded_zcrs_match_converged_packet_session():
     """The analytic seed predicts exactly the ZCRs a packet-fidelity run
     elects: every converged agent belief agrees with ``plan.zcr_of``."""
-    monkeypatch.delenv("SHARQFEC_HYBRID", raising=False)
     sim = Simulator(seed=3)
     topo = build_figure10(sim)
     cfg = SharqfecConfig(n_packets=16)
@@ -175,7 +174,7 @@ def test_seeded_zcrs_match_converged_packet_session(monkeypatch):
 # ------------------------------------------------------------ loss marginals
 
 
-def test_flow_loss_marginals_match_path_loss(monkeypatch):
+def test_flow_loss_marginals_match_path_loss():
     """Per-receiver survival of bulk data is Binomial(n, 1 - path_loss).
 
     A two-hop chain with distinct per-link loss rates: the flow engine
@@ -184,7 +183,6 @@ def test_flow_loss_marginals_match_path_loss(monkeypatch):
     FEC and are excluded from ``data_received`` — must sit within 6
     binomial standard deviations of ``n × (1 - path_loss)``.
     """
-    monkeypatch.delenv("SHARQFEC_HYBRID", raising=False)
     l1, l2 = 0.05, 0.12
     n_packets = 800
     sim = Simulator(seed=11)

@@ -25,7 +25,7 @@ from repro.core.pdus import (
     ZcrResponsePdu,
     ZcrTakeoverPdu,
 )
-from repro.net.packet import Packet, UnicastPacket
+from repro.net.packet import Packet
 from repro.srm.config import SrmConfig
 
 
@@ -48,12 +48,6 @@ def test_packet_validation_and_uid():
     assert a.uid != b.uid
     with pytest.raises(ValueError):
         Packet("DATA", 0, 1, 0)
-
-
-def test_unicast_packet_describe():
-    p = UnicastPacket("PING", 1, 2, 64)
-    assert "dst=2" in p.describe()
-    assert p.group == -1
 
 
 def test_pdu_descriptions_mention_key_fields():

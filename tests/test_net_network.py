@@ -7,7 +7,7 @@ import pytest
 from repro.errors import RoutingError, ScopeError, TopologyError
 from repro.net.monitor import TrafficMonitor
 from repro.net.network import Network
-from repro.net.packet import Packet, UnicastPacket
+from repro.net.packet import Packet
 from repro.sim.scheduler import Simulator
 
 
@@ -160,21 +160,6 @@ def test_unsubscribe_stops_delivery(star_net):
     net.multicast(0, Packet("DATA", 0, group.group_id, 100))
     net.sim.run()
     assert len(got) == 1
-
-
-def test_unicast_delivery(line_net):
-    net = line_net
-    got = []
-    net.nodes[3].set_unicast_handler(got.append)
-    net.unicast(UnicastPacket("PING", 0, 3, 100))
-    net.sim.run()
-    assert len(got) == 1
-    assert got[0].dst == 3
-
-
-def test_unicast_unknown_destination(line_net):
-    with pytest.raises(RoutingError):
-        line_net.unicast(UnicastPacket("PING", 0, 42, 100))
 
 
 def test_monitor_observes_arrivals(tree_net):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.node import Node
-from repro.net.packet import Packet, UnicastPacket
+from repro.net.packet import Packet
 
 
 def test_handlers_per_group():
@@ -48,17 +48,6 @@ def test_handler_may_unsubscribe_during_delivery():
     node.add_handler(10, once)
     node.deliver(Packet("DATA", 0, 10, 100))
     node.deliver(Packet("DATA", 0, 10, 100))
-    assert len(got) == 1
-
-
-def test_unicast_handler():
-    node = Node(1)
-    got = []
-    node.set_unicast_handler(got.append)
-    node.deliver_unicast(UnicastPacket("PING", 0, 1, 64))
-    assert len(got) == 1
-    node.set_unicast_handler(None)
-    node.deliver_unicast(UnicastPacket("PING", 0, 1, 64))
     assert len(got) == 1
 
 

@@ -79,16 +79,12 @@ def test_tree_no_members_is_empty():
 def test_routing_table_paths():
     table = RoutingTable(GRAPH, 0)
     assert table.path_to(2) == [0, 3, 2]
-    assert table.next_hop(2) == 3
     assert table.distance_to(2) == pytest.approx(1.0)
     assert table.path_to(0) == [0]
     assert table.reachable(1)
 
 
 def test_routing_table_errors():
-    table = RoutingTable(GRAPH, 0)
-    with pytest.raises(RoutingError):
-        table.next_hop(0)
     graph = {0: {1: 1.0}, 1: {0: 1.0}, 2: {}}
     table2 = RoutingTable(graph, 0)
     assert not table2.reachable(2)

@@ -9,9 +9,14 @@ equivalences and the queue bookkeeping that the optimizations rely on.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from repro.net.monitor import TrafficMonitor
+from repro.errors import ScopeError
+from repro.faults.models import GilbertElliott
+from repro.net.monitor import PacketEvent, TrafficMonitor
+from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.sim.events import COMPACT_MIN_DEAD, EventQueue
 from repro.sim.scheduler import Simulator
@@ -224,26 +229,134 @@ def test_tracer_wants_tracks_subscriptions_and_enabled():
 # --------------------------------------------- forwarding path equivalence
 
 
-def _flood(compiled: bool, n_packets: int = 60, seed: int = 11):
+def _notify(net: Network, method: str, event: PacketEvent) -> None:
+    for observer in net._observers:
+        callback = getattr(observer, method, None)
+        if callback is not None:
+            callback(event)
+
+
+def reference_multicast(net: Network, src: int, packet: Packet) -> None:
+    """The interpreted per-hop walk that ``Network.multicast`` must replay.
+
+    Same tree (the compiled schedule flattened back to a children dict per
+    packet), but links looked up per hop, ``_drops`` / ``link.transmit`` /
+    ``node.deliver`` called where the compiled path inlines them, observers
+    found by ``getattr``, the tracer asked on every event.  Single engine only.
+    """
+    group = net._group(packet.group)
+    if not group.allows(src):
+        raise ScopeError(f"node {src} cannot send on group {group.name!r}: outside scope")
+    if not net.nodes[src].up:
+        net.sim.tracer.emit(net.sim.now, "pkt.stifled", src, packet)
+        return
+    children, stack = {}, [net._schedule_for(src, group)]
+    while stack:
+        node, _, _, kids = stack.pop()
+        children[node] = [child[0] for _, child in kids]
+        stack.extend(child for _, child in kids)
+    _notify(net, "on_send", PacketEvent(net.sim.now, src, packet.kind, packet.size_bytes, True))
+    net.sim.tracer.emit(net.sim.now, "pkt.send", src, packet)
+    _forward_hops(net, children, src, packet)
+
+
+def _forward_hops(net: Network, children: dict, node: int, packet: Packet) -> None:
+    now = net.sim.now
+    for child in children[node]:
+        link = net._links[(node, child)]
+        if net._drops(link, packet):
+            link.record_drop()
+            category = "pkt.drop"
+        else:
+            arrival = link.transmit(now, packet.size_bytes)
+            if arrival is not None:
+                net.sim.at(arrival, _arrive_multicast, net, packet, children, child)
+                continue
+            category = "pkt.qdrop"  # drop-tail queue overflow
+        _notify(net, "on_drop", PacketEvent(now, child, packet.kind, packet.size_bytes, False))
+        net.sim.tracer.emit(now, category, child, packet)
+
+
+def _arrive_multicast(net: Network, packet: Packet, children: dict, node: int) -> None:
+    now = net.sim.now
+    if not net.nodes[node].up:
+        _notify(net, "on_drop", PacketEvent(now, node, packet.kind, packet.size_bytes, False))
+        net.sim.tracer.emit(now, "pkt.nodedrop", node, packet)
+        return
+    is_subscriber = node in net.groups[packet.group].subscribers
+    _notify(net, "on_receive", PacketEvent(now, node, packet.kind, packet.size_bytes, is_subscriber))
+    if is_subscriber:
+        net.sim.tracer.emit(now, "pkt.recv", node, packet)
+        net.nodes[node].deliver(packet)
+    _forward_hops(net, children, node, packet)
+
+
+#: Flood case -> the trace category that proves the case bit.  The first is
+#: the common case the compiled path inlines; the rest are what it
+#: special-cases (a non-inlined branch, or state read after compile time).
+FLOOD_CASES = {
+    "bernoulli": "pkt.drop",
+    "queue_overflow": "pkt.qdrop",
+    "gilbert_elliott": "pkt.drop",
+    "loss_oracle": "pkt.drop",
+    "faults_in_flight": "pkt.nodedrop",
+    "loss_exempt": "pkt.recv",
+}
+
+
+def _flood(case: str, n_packets: int = 60, seed: int = 11):
     """Flood the Figure 10 topology and return observable outcomes."""
     sim = Simulator(seed=seed)
     fig = build_figure10(sim)
     net = fig.network
-    net.compiled_forwarding = compiled
     group = net.create_group("flood")
     delivered = []
-    for node in fig.receivers:
-        net.subscribe(group.group_id, node, lambda pkt, n=node: delivered.append((n, pkt.uid)))
+    handlers = {
+        node: (lambda pkt, n=node: delivered.append((n, pkt.uid))) for node in fig.receivers
+    }
+    for node, handler in handlers.items():
+        net.subscribe(group.group_id, node, handler)
     monitor = TrafficMonitor()
     net.add_observer(monitor)
-    recv_trace = []
-    sim.tracer.subscribe("pkt.recv", lambda rec: recv_trace.append((rec.time, rec.node)))
+    trace = []
+    for category in ("pkt.recv", "pkt.drop", "pkt.qdrop", "pkt.nodedrop"):
+        sim.tracer.subscribe(category, lambda rec: trace.append((rec.time, rec.node, rec.category)))
 
-    def send() -> None:
-        net.multicast(fig.source, Packet("DATA", fig.source, group.group_id, 1024))
+    head, crashed = fig.heads[0], fig.heads[3]
+    child = fig.children[head][0]
+    burst = 1
+    if case == "queue_overflow":
+        # Four back-to-back 45 Mbit arrivals into a 10 Mbit link that buffers one.
+        burst = 4
+        for kid in fig.children[head]:
+            net.link(head, kid).queue_limit = 1
+    elif case == "gilbert_elliott":
+        net.set_loss_model(
+            fig.source, head,
+            GilbertElliott(0.3, 0.4, loss_good=0.05, loss_bad=0.9, slot_s=0.004,
+                           state_rng=sim.rng.stream("ge.state"),
+                           packet_rng=sim.rng.stream("ge.packet")),
+        )
+    elif case == "loss_oracle":
+        crossings = itertools.count()
+        net.loss_oracle = lambda link, pkt: next(crossings) % 7 == 3
+    elif case == "faults_in_flight":
+        # Backbone + tree latencies keep ~20 packets in flight: each change
+        # below lands on stale records, then on a rebuilt tree 30 ms later.
+        net.reconvergence_delay = 0.03
+        leaver = fig.grandchildren[fig.children[fig.heads[5]][1]][2]
+        sim.at(0.050, net.set_link_up, head, child, False)
+        sim.at(0.060, net.set_node_up, crashed, False)
+        sim.at(0.070, net.unsubscribe, group.group_id, leaver, handlers[leaver])
+        sim.at(0.120, net.set_node_up, crashed, True)
+        sim.at(0.125, net.set_link_up, head, child, True)
+
+    def send(i: int) -> None:
+        exempt = case == "loss_exempt" and i % 2 == 0
+        net.multicast(fig.source, Packet("DATA", fig.source, group.group_id, 1024, exempt))
 
     for i in range(n_packets):
-        sim.at(i * 0.003, send)
+        sim.at((i // burst) * burst * 0.003, send, i)
     sim.run()
     series = {
         node: monitor.series(["DATA"], node, t_end=sim.now) for node in fig.receivers
@@ -252,44 +365,38 @@ def _flood(compiled: bool, n_packets: int = 60, seed: int = 11):
     # run's first uid so two runs compare by position in the stream.
     base = min((uid for _, uid in delivered), default=0)
     deliveries = sorted((node, uid - base) for node, uid in delivered)
-    return deliveries, recv_trace, monitor.total(["DATA"]), monitor.drops, series
+    return deliveries, trace, monitor.total(["DATA"]), monitor.drops, series
 
 
-def test_compiled_forwarding_matches_reference_walk():
-    """The compiled fast path must replay the dict-walk byte for byte.
+def test_compiled_forwarding_matches_reference_walk(monkeypatch):
+    """The compiled schedule must replay the interpreted walk byte for byte.
 
-    Same seed, same topology, same sends: every delivery, every traced
-    arrival time, every loss draw and every per-interval bin must agree —
-    the compiled schedule may only change *speed*, never outcomes.
+    Same seed, same topology, same sends and faults: every delivery, every
+    traced arrival and drop, every loss draw and every per-interval bin
+    must agree — the compiled schedule may only change *speed*.
     """
-    fast = _flood(compiled=True)
-    reference = _flood(compiled=False)
-    assert fast == reference
-    assert fast[2] > 0  # the comparison is not vacuous
-    assert fast[3] > 0  # losses actually occurred on the lossy links
-
-
-def test_compiled_forwarding_env_toggle(monkeypatch):
-    from repro.net.network import Network
-
-    monkeypatch.setenv("SHARQFEC_COMPILED_FORWARDING", "0")
-    assert Network(Simulator()).compiled_forwarding is False
-    monkeypatch.delenv("SHARQFEC_COMPILED_FORWARDING")
-    assert Network(Simulator()).compiled_forwarding is True
+    for case, proof in FLOOD_CASES.items():
+        fast = _flood(case)
+        with monkeypatch.context() as patch:
+            patch.setattr(Network, "multicast", reference_multicast)
+            reference = _flood(case)
+        assert fast == reference, case
+        deliveries, trace, received, dropped, series = fast
+        assert received > 0 and dropped > 0, case  # the comparison is not vacuous
+        assert any(category == proof for _, _, category in trace), case
+        if case == "loss_exempt":  # the exempt half reached every receiver
+            assert len(deliveries) > 30 * len(series)
 
 
 # ------------------------------------------------------------ codec default
 
 
-def test_default_codec_selection(monkeypatch):
+def test_default_codec_selection():
     from repro.fec import ErasureCodec
     from repro.fec.fast import HAVE_NUMPY, NumpyErasureCodec, default_codec
 
-    monkeypatch.delenv("SHARQFEC_PURE_FEC", raising=False)
     expected = NumpyErasureCodec if HAVE_NUMPY else ErasureCodec
     assert type(default_codec(8)) is expected
-    monkeypatch.setenv("SHARQFEC_PURE_FEC", "1")
-    assert type(default_codec(8)) is ErasureCodec
 
 
 def test_numpy_and_pure_codecs_are_bit_identical():

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import importlib
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import repro
+import repro.hybrid
+import repro.net
 
 
 def test_all_is_sorted_and_complete():
@@ -38,6 +42,25 @@ def test_import_repro_is_lazy():
     subprocess.run(
         [sys.executable, "-c", code], check=True, env={"PYTHONPATH": "src"}
     )
+
+
+def test_configuration_arrives_through_one_channel():
+    """Typed specs and configs are the only way to configure a run: nothing
+    under ``src/repro`` reads the environment except the two workload-size
+    knobs, and the equivalence knobs that used to be exported stay gone."""
+    root = pathlib.Path(repro.__file__).parent
+    reads = set()
+    for path in root.rglob("*.py"):
+        for line in path.read_text().splitlines():
+            if re.search(r"os\.environ|getenv", line):
+                knob = re.search(r"SHARQFEC_\w+", line)
+                reads.add((path.relative_to(root).as_posix(), knob.group(0) if knob else line))
+    assert reads == {
+        ("experiments/common.py", "SHARQFEC_PACKETS"),
+        ("testing/__init__.py", "SHARQFEC_PROP_EXAMPLES"),
+    }
+    exported = set(repro.__all__) | set(repro.net.__all__) | set(repro.hybrid.__all__)
+    assert not exported & {"FeatureFlags", "UnicastPacket", "hybrid_enabled"}
 
 
 def test_unknown_attribute_raises():

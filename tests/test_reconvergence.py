@@ -15,7 +15,7 @@ from repro.core.config import SharqfecConfig
 from repro.core.protocol import SharqfecProtocol
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.network import Network
-from repro.net.packet import Packet, UnicastPacket
+from repro.net.packet import Packet
 from repro.scoping.zone import ZoneHierarchy
 from repro.sim.scheduler import Simulator
 from repro.testing import (
@@ -28,9 +28,9 @@ from repro.testing import (
 )
 
 
-def diamond(sim, reconvergence_delay=0.5):
+def diamond(sim):
     """0→1→3 is the cheap path; 0→2→3 the standby detour."""
-    net = Network(sim, reconvergence_delay=reconvergence_delay)
+    net = Network(sim, reconvergence_delay=0.5)
     for _ in range(4):
         net.add_node()
     net.add_link(0, 1, 10e6, 0.010)
@@ -60,25 +60,6 @@ def test_session_survives_a_permanently_severed_tree_edge():
     assert_recovery_within(proto, heal_deadline(net, plan, bound=45.0))
 
 
-def test_reconvergence_delay_none_preserves_the_blackhole():
-    """Legacy semantics are opt-in: with the delay disabled a downed tree
-    edge stays a permanent blackhole."""
-    sim = Simulator(seed=22)
-    net = diamond(sim, reconvergence_delay=None)
-    group = net.create_group("g")
-    got = []
-    net.subscribe(group.group_id, 3, got.append)
-    net.multicast(0, Packet("DATA", 0, group.group_id, 1000))
-    sim.run()
-    assert len(got) == 1
-    net.set_link_up(1, 3, False)
-    sim.run(until=sim.now + 5.0)
-    net.multicast(0, Packet("DATA", 0, group.group_id, 1000))
-    sim.run()
-    assert len(got) == 1, "no reconvergence: the cached tree is gone for good"
-    assert net.reconvergences == 0
-
-
 def test_restore_reconverges_back_onto_the_direct_path():
     sim = Simulator(seed=23)
     net = diamond(sim)
@@ -99,24 +80,6 @@ def test_restore_reconverges_back_onto_the_direct_path():
     direct_latency = arrivals[-1] - start
     assert net.reconvergences == 2
     assert direct_latency < detour_latency, "traffic moved back to 0-1-3"
-
-
-def test_unicast_with_no_route_is_dropped_not_raised():
-    sim = Simulator(seed=24)
-    net = Network(sim)
-    for _ in range(3):
-        net.add_node()
-    net.add_link(0, 1, 10e6, 0.01)
-    net.add_link(1, 2, 10e6, 0.01)
-    net.set_link_up(1, 2, False)
-    sim.run(until=2.0)
-    got = []
-    net.nodes[2].set_unicast_handler(got.append)
-    with TraceRecorder(sim) as recorder:
-        net.unicast(UnicastPacket("PING", 0, 2, 100))  # must not raise
-        sim.run(until=4.0)
-    assert got == []
-    assert recorder.count("pkt.noroute") == 1
 
 
 # ------------------------------------------------------------------- churn
