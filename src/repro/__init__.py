@@ -46,7 +46,6 @@ from repro._version import __version__
 # (PEP 562) so `import repro` pulls in nothing beyond _version.
 _EXPORTS = {
     # simulation engine
-    "Engine": "repro.sim.engine",
     "Simulator": "repro.sim.scheduler",
     "Timer": "repro.sim.timers",
     "RngRegistry": "repro.sim.rng",
@@ -107,7 +106,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.obs.recorder import RunObserver
     from repro.scoping.channels import ScopedChannels
     from repro.scoping.zone import ZoneHierarchy
-    from repro.sim.engine import Engine
     from repro.sim.rng import RngRegistry
     from repro.sim.scheduler import Simulator
     from repro.sim.timers import Timer

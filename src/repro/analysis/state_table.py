@@ -37,14 +37,6 @@ class StateTableRow:
     scoped_state: int            # == rtts_maintained
     nonscoped_state: int         # n (peers tracked by a flat receiver)
 
-    @property
-    def traffic_ratio(self) -> float:
-        return self.scoped_traffic / self.nonscoped_traffic
-
-    @property
-    def state_ratio(self) -> float:
-        return self.scoped_state / self.nonscoped_state
-
 
 def state_reduction_table(params: NationalParams = NationalParams()) -> List[StateTableRow]:
     """Compute the Figure 8 table for a national hierarchy.

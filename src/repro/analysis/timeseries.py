@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence
+from typing import Dict, NamedTuple, Sequence
 
 
 class SeriesStats(NamedTuple):
@@ -49,21 +49,3 @@ def repair_tail_length(
         if v > threshold:
             last = i
     return max(0, last - data_end_index)
-
-
-def sum_series(a: Sequence[float], b: Sequence[float]) -> List[float]:
-    """Element-wise sum of two series of possibly different lengths."""
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0.0) + (b[i] if i < len(b) else 0.0)
-        for i in range(n)
-    ]
-
-
-def max_ratio(numer: Sequence[float], denom: Sequence[float], floor: float = 1.0) -> float:
-    """Largest per-interval ratio numer/denom, ignoring near-idle bins."""
-    best = 0.0
-    for i in range(min(len(numer), len(denom))):
-        if denom[i] >= floor:
-            best = max(best, numer[i] / denom[i])
-    return best

@@ -324,7 +324,7 @@ class SharqfecEndpoint:
             pending = state.outstanding.get(zone_id, 0)
             if pending > 0:
                 outstanding.append((group_id, pending))
-        if not outstanding or not self.config.zcr_reconcile:
+        if not outstanding:
             return
         if self.config.sender_only and not self.is_source:
             return  # nobody but the source pumps; nothing to hand off

@@ -75,12 +75,11 @@ class SharqfecConfig:
     zcr_takeover_margin: float = 0.002  # seconds of RTT advantage required
 
     # --- explicit ZCR elections (failure detector + election rounds) ---
-    # When True, a per-zone failure detector derives ZCR liveness from
-    # session-message silence (session PDUs are loss-exempt, so silence
-    # means crash or partition, not loss) and a silent representative
-    # triggers an explicit election round instead of waiting for the
-    # challenge watchdog's free-for-all takeover bids.
-    zcr_election: bool = True
+    # A per-zone failure detector derives ZCR liveness from session-message
+    # silence (session PDUs are loss-exempt, so silence means crash or
+    # partition, not loss) and a silent representative triggers an explicit
+    # election round instead of waiting for the challenge watchdog's
+    # free-for-all takeover bids.
     # A zone's ZCR speaks on the session channel about once per
     # session_interval; this must comfortably exceed its upper bound.
     zcr_liveness_timeout: float = 3.0
@@ -92,11 +91,6 @@ class SharqfecConfig:
     zcr_election_retry_base: float = 0.3
     # Attempts before the zone falls back to the bootstrap watchdog path.
     zcr_election_max_retries: int = 4
-    # Split-brain reconciliation on partition heal: a deposed representative
-    # broadcasts its speculative repair queues (max-merged by hearers, never
-    # summed) and forces one deterministic re-election round if it is
-    # strictly closer than the rival that deposed it.
-    zcr_reconcile: bool = True
 
     # --- repair behaviour (§4) ---
     # NACK attempts at one zone before escalating to the next-larger zone.
@@ -115,11 +109,6 @@ class SharqfecConfig:
     # retrying its current zone and escalates one level.  At the top zone
     # it keeps retrying at the capped backoff.
     giveup_fires: int = 4
-    # Receivers/senders advertise the highest group whose data transmission
-    # finished in session messages (the SHARQFEC analogue of SRM's session
-    # ``highest_seq`` tail-loss advertisement), letting a crash-restarted
-    # or late-joining peer discover groups it never heard a packet of.
-    stream_extent_gossip: bool = True
 
     # --- wire sizes for non-data PDUs (bytes) ---
     nack_size: int = 64

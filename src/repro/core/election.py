@@ -410,8 +410,6 @@ class ElectionCoordinator:
                     "epoch": self.session.zcr_epoch.get(zone_id, 0),
                 },
             )
-        if not self.config.zcr_reconcile:
-            return
         mine = self.zcr.my_dist_to_parent.get(zone_id)
         margin = self.config.zcr_takeover_margin
         if (

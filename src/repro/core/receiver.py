@@ -444,8 +444,6 @@ class SharqfecReceiver(SharqfecEndpoint):
         # the group's data emission truly ended, so the advertisement never
         # finalizes a peer's group prematurely.  (The sender advertises its
         # authoritative emission extent.)
-        if not self.config.stream_extent_gossip:
-            return -1
         extent = -1
         for gid, state in self.groups.items():
             if gid > extent and state.complete:
@@ -467,8 +465,6 @@ class SharqfecReceiver(SharqfecEndpoint):
         ``_highest_group_seen`` already past it, so it is dropped here.
         """
         if group_id <= self._extent_applied:
-            return
-        if not self.config.stream_extent_gossip:
             return
         if not 0 <= group_id < self.config.n_groups:
             return

@@ -86,8 +86,6 @@ class SharqfecSender(SharqfecEndpoint):
     def _stream_extent(self) -> int:
         # The authoritative advertisement: every group up to _extent has
         # finished its data emission.
-        if not self.config.stream_extent_gossip:
-            return -1
         return self._extent
 
     # ------------------------------------------------------------- accounting

@@ -136,10 +136,6 @@ class GroupState:
             return True
         return False
 
-    def max_zlc(self) -> int:
-        """Largest ZLC across zones (the group's known worst loss)."""
-        return max(self.zlc.values()) if self.zlc else 0
-
     # -------------------------------------------------------------- identities
 
     def allocate_repair_index(self) -> int:

@@ -84,10 +84,8 @@ class ZcrElection:
         # silence plus deterministic election rounds (repro.core.election).
         # The challenge machinery stays — it measures distances and remains
         # the bootstrap/fallback path — but failover runs through rounds.
-        self.coordinator: Optional[ElectionCoordinator] = (
-            ElectionCoordinator(self) if self.config.zcr_election else None
-        )
-        session.on_zcr_heard = self._note_zcr_alive
+        self.coordinator = ElectionCoordinator(self)
+        session.on_zcr_heard = self.coordinator.note_alive
 
     # -------------------------------------------------------------- lifecycle
 
@@ -111,16 +109,14 @@ class ZcrElection:
             else:
                 # A (static) ZCR is already known: plain liveness watchdog.
                 self._watchdog_timers[zid].restart(self._watchdog_delay())
-        if self.coordinator is not None:
-            self.coordinator.start()
+        self.coordinator.start()
 
     def stop(self) -> None:
         """Cancel every pending timer."""
         for table in (self._challenge_timers, self._watchdog_timers, self._takeover_timers):
             for timer in table.values():
                 timer.cancel()
-        if self.coordinator is not None:
-            self.coordinator.stop()
+        self.coordinator.stop()
 
     def reset(self) -> None:
         """Discard all measurement and election state (crash-restart path).
@@ -136,13 +132,7 @@ class ZcrElection:
         self._suspect_dead.clear()
         self.my_dist_to_parent.clear()
         self._raw_measure.clear()
-        if self.coordinator is not None:
-            self.coordinator.reset()
-
-    def _note_zcr_alive(self, zone_id: int) -> None:
-        """Session hook: a message from the believed ZCR of ``zone_id``."""
-        if self.coordinator is not None:
-            self.coordinator.note_alive(zone_id)
+        self.coordinator.reset()
 
     def _challenge_interval(self) -> float:
         lo, hi = self.config.zcr_challenge_interval
@@ -226,7 +216,7 @@ class ZcrElection:
                 timer.restart(self._watchdog_delay())
             if pdu.challenger_id == self.session.zcr_ids.get(zone_id):
                 self._suspect_dead.discard(zone_id)
-                self._note_zcr_alive(zone_id)
+                self.coordinator.note_alive(zone_id)
         # The parent ZCR answers.  The challenged zone may not be in our own
         # chain (the parent ZCR sits *outside* the child zone), so identify
         # the parent zone from the channel the challenge arrived on.
@@ -305,15 +295,14 @@ class ZcrElection:
             challenge.cancel()
             if not watchdog.running:
                 watchdog.restart(self._watchdog_delay())
-            if deposed and self.coordinator is not None:
+            if deposed:
                 rival = self.session.zcr_ids.get(zone_id)
                 if rival is not None:
                     self.coordinator.on_deposed(
                         zone_id, rival, self.session.zcr_parent_rtt.get(zone_id)
                     )
             self.reconsider(zone_id)
-        if self.coordinator is not None:
-            self.coordinator.on_belief_sync(zone_id)
+        self.coordinator.on_belief_sync(zone_id)
 
     def reconsider(self, zone_id: int) -> None:
         """Re-derive our distance after the localZCR→parentZCR RTT changed."""
@@ -349,8 +338,7 @@ class ZcrElection:
 
     def handle_elect(self, pdu: ZcrElectPdu) -> None:
         """Candidate announcement of an explicit election round."""
-        if self.coordinator is not None:
-            self.coordinator.handle_elect(pdu)
+        self.coordinator.handle_elect(pdu)
 
     def reassert(self, zone_id: int) -> None:
         """Incumbent re-announcement at the current epoch (keeps the role;
@@ -503,13 +491,12 @@ class ZcrElection:
                 challenge.cancel()
             if watchdog is not None:
                 watchdog.restart(self._watchdog_delay())
-        if self.coordinator is not None:
-            if was_me and new_zcr != self.node_id:
-                # Adopted a rival claim that displaced us (handle_takeover
-                # already reasserted if we were strictly closer, so this
-                # deposition stands — record it for the obs layer).
-                self.coordinator.on_deposed(zone_id, new_zcr, 2.0 * dist)
-            self.coordinator.on_belief_sync(zone_id)
+        if was_me and new_zcr != self.node_id:
+            # Adopted a rival claim that displaced us (handle_takeover
+            # already reasserted if we were strictly closer, so this
+            # deposition stands — record it for the obs layer).
+            self.coordinator.on_deposed(zone_id, new_zcr, 2.0 * dist)
+        self.coordinator.on_belief_sync(zone_id)
         if belief_changed and self.session.on_role_change is not None:
             # Repair-duty handoff (failover hardening): the endpoint learns
             # the zone changed hands — if *we* are the new representative

@@ -25,18 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help="figure id (fig1, fig8, fig11..fig21), 'national' (sharded "
+        help="figure id (fig1, fig8, fig11..fig21), 'national' (zone-sharded "
         "scale run), 'all', 'list', or 'campaign' (multi-seed sweeps: "
         "'sharqfec campaign run|report')",
-    )
-    parser.add_argument(
-        "--shards",
-        metavar="N",
-        type=int,
-        default=None,
-        help="worker processes for the 'national' experiment: omit or 0 "
-        "for the in-process reference engine, N>0 for the multiprocessing "
-        "engine (merged output is byte-identical either way)",
     )
     parser.add_argument(
         "--fidelity",
@@ -133,14 +124,18 @@ def _run_national(args) -> int:
         fidelity=args.fidelity or "packet",
         **shape,
     )
-    report = run_national(
-        spec,
-        shards=args.shards,
-        metrics_dir=args.metrics_out,
-        trace_dir=args.trace_out,
-    )
-    print(report)
+    print(run_national(spec, metrics_dir=args.metrics_out, trace_dir=args.trace_out))
     return 0
+
+
+def _rejects(args, dests, reason: str) -> bool:
+    """Report the first option in ``dests`` that was given, if any: the
+    experiment would ignore it, and a flag that does nothing is an error."""
+    for dest in dests:
+        if getattr(args, dest) not in (None, False):
+            print(f"--{dest.replace('_', '-')} {reason}", file=sys.stderr)
+            return True
+    return False
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -156,16 +151,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment == "list":
         for figure_id, experiment in EXPERIMENTS.items():
             print(f"{figure_id:7s} {experiment.description}")
-        print("national sharded zone-parallel run of the Figure 7 national topology")
+        print("national zone-sharded run of the Figure 7 national topology")
         print("campaign declarative multi-seed sweep campaigns (run/report)")
         return 0
     if args.experiment == "national":
+        if _rejects(
+            args,
+            ("progress", "zone_traffic", "csv"),
+            "does not apply to the 'national' experiment",
+        ):
+            return 2
         return _run_national(args)
-    if args.shards is not None:
-        print("--shards only applies to the 'national' experiment", file=sys.stderr)
-        return 2
-    if args.fidelity is not None:
-        print("--fidelity only applies to the 'national' experiment", file=sys.stderr)
+    if _rejects(
+        args,
+        ("fidelity", "regions", "cities", "suburbs", "subscribers"),
+        "only applies to the 'national' experiment",
+    ):
         return 2
     from repro.experiments.common import observe_runs
 

@@ -1,11 +1,10 @@
 """The ``national`` CLI experiment: sharded runs of the Figure 7 topology.
 
-This is the scale demonstrator for ROADMAP item 1: a (scaled-down but
-still 10k-receiver-capable) national distribution hierarchy executed by
-the zone-parallel engine (:mod:`repro.engine`), one shard per region.
-Unlike the figure experiments — fixed paper shapes — this one takes the
-topology shape and the worker count on the command line and reports the
-run, so it doubles as the entry point operators use to size shard counts
+This is the scale demonstrator: a (scaled-down but still
+10k-receiver-capable) national distribution hierarchy executed by the
+windowed engine (:mod:`repro.engine`), one logical shard per region, in
+one process.  Unlike the figure experiments — fixed paper shapes — this
+one takes the topology shape on the command line and reports the run
 (see ``docs/SCALING.md``).
 """
 
@@ -15,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.engine import MergedRun, run_reference, run_sharded
+from repro.engine import MergedRun, run_reference
 from repro.faults.plan import FaultPlan
 from repro.scenario import RunSpec, export_run
 
@@ -76,14 +75,9 @@ class NationalRunReport:
         lookahead = (
             f"{plan.lookahead * 1000:.0f} ms" if math.isfinite(plan.lookahead) else "none"
         )
-        engine = (
-            "reference (in-process)"
-            if merged.workers == 0
-            else f"sharded ({merged.workers} worker processes)"
-        )
         lines = [
             "National-scale sharded run",
-            f"  engine:      {engine}",
+            "  engine:      reference (in-process)",
             f"  shards:      {plan.n_shards} ({', '.join(s.key for s in plan.shards)})",
             f"  lookahead:   {lookahead}",
             f"  fidelity:    {merged.spec.fidelity}",
@@ -104,20 +98,11 @@ class NationalRunReport:
 
 def run_national(
     spec: RunSpec,
-    shards: Optional[int] = None,
     metrics_dir: Optional[str] = None,
     trace_dir: Optional[str] = None,
 ) -> NationalRunReport:
-    """Execute a national spec and optionally export merged JSONL.
-
-    ``shards`` is the worker-process count: ``None`` or ``0`` selects the
-    in-process reference engine; any positive count runs the
-    multiprocessing engine (output is byte-identical either way).
-    """
-    if shards:
-        merged = run_sharded(spec, workers=shards)
-    else:
-        merged = run_reference(spec)
+    """Execute a national spec and optionally export merged JSONL."""
+    merged = run_reference(spec)
     metrics_path, trace_path = export_run(
         merged.record(),
         monitor=merged.monitor,

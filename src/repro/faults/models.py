@@ -140,16 +140,6 @@ class GilbertElliott:
         pi_bad = self.p_gb / (self.p_gb + self.p_bg)
         return pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
 
-    @property
-    def mean_burst_s(self) -> float:
-        """Expected Bad-state sojourn in seconds."""
-        return self.slot_s / self.p_bg
-
-    @property
-    def mean_gap_s(self) -> float:
-        """Expected Good-state sojourn in seconds."""
-        return self.slot_s / self.p_gb
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "BAD" if self.bad else "good"
         return (

@@ -58,10 +58,6 @@ class GroupAssembler:
         """The distinct packet indices seen (copy-safe frozen view)."""
         return set(self._indices)
 
-    def missing_data(self) -> List[int]:
-        """Original-packet indices (< k) not yet received."""
-        return [i for i in range(self.k) if i not in self._indices]
-
     def deficit(self) -> int:
         """How many more packets (any identity) are needed to reconstruct.
 
@@ -73,10 +69,6 @@ class GroupAssembler:
     def is_complete(self) -> bool:
         """True once any ``k`` distinct packets have arrived (MDS property)."""
         return len(self._indices) >= self.k
-
-    def highest_index(self) -> int:
-        """Largest packet index seen so far, or -1 if none."""
-        return max(self._indices) if self._indices else -1
 
     # ------------------------------------------------------------- reconstruct
 

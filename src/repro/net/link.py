@@ -147,14 +147,6 @@ class Link:
         """Bring a failed link back up."""
         self.up = True
 
-    def reset_stats(self) -> None:
-        """Zero the per-link counters and the FIFO watermark."""
-        self.busy_until = 0.0
-        self.packets_sent = 0
-        self.packets_dropped = 0
-        self.queue_drops = 0
-        self.bytes_sent = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mbps = self.bandwidth_bps / 1e6
         state = "" if self.up else " DOWN"

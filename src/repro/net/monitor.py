@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.obs.binning import BOUNDARY_RTOL, bin_index, bin_midpoint, n_bins
+from repro.obs.binning import BOUNDARY_RTOL, bin_index, n_bins
 
 
 class PacketEvent(NamedTuple):
@@ -44,19 +44,15 @@ class TrafficMonitor:
     Attributes:
         bin_width: width of an aggregation interval in seconds (the paper
             uses 0.1 s).
-        count_forwarding: if False (default) only arrivals at group
-            subscribers are counted — that is what "traffic visible at each
-            session member" means; routers merely forwarding are excluded.
         drops: total packets lost anywhere (all kinds, all nodes) — the
             backward-compatible aggregate over the per-(kind, node) drop
             bins.
     """
 
-    def __init__(self, bin_width: float = 0.1, count_forwarding: bool = False) -> None:
+    def __init__(self, bin_width: float = 0.1) -> None:
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")
         self.bin_width = float(bin_width)
-        self.count_forwarding = count_forwarding
         # (kind, node) -> [ {bin_index: packet_count}, total_packets,
         # total_bytes ] — one record per key so the per-arrival hot path
         # hashes the key once instead of updating three parallel dicts.
@@ -108,8 +104,9 @@ class TrafficMonitor:
         bins[index] = bins.get(index, 0) + 1
 
     def on_receive(self, event: PacketEvent) -> None:
-        """Record a packet arrival at a node."""
-        if not event.subscriber and not self.count_forwarding:
+        """Record a packet arrival at a group subscriber — "traffic visible
+        at each session member"; routers merely forwarding are excluded."""
+        if not event.subscriber:
             return
         key = (event.kind, event.node)
         record = self._stats.get(key)
@@ -249,13 +246,6 @@ class TrafficMonitor:
             out[kind] = out.get(kind, 0) + record[1]
         return out
 
-    def drops_by_node(self) -> Dict[int, int]:
-        """Total drops per (intended) destination node."""
-        out: Dict[int, int] = {}
-        for (_, node), record in self._drop_stats.items():
-            out[node] = out.get(node, 0) + record[1]
-        return out
-
     def drop_series(
         self,
         kinds: Iterable[str],
@@ -362,10 +352,6 @@ class TrafficMonitor:
             + (sent[i] if i < len(sent) else 0)
             for i in range(length)
         ]
-
-    def bin_times(self, length: int) -> List[float]:
-        """Midpoint times for the first ``length`` bins (for table output)."""
-        return [bin_midpoint(i, self.bin_width) for i in range(length)]
 
     # ------------------------------------------------------- export / reload
 

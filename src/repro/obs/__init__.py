@@ -16,10 +16,9 @@ be inspected live and exported losslessly without ad-hoc listeners.
   runs.
 """
 
-from repro.obs.binning import bin_index, bin_midpoint, bin_start, n_bins
+from repro.obs.binning import bin_index, n_bins
 from repro.obs.export import (
     FORMAT,
-    JsonlTraceWriter,
     build_manifest,
     export_metrics,
     export_trace,
@@ -42,7 +41,6 @@ __all__ = [
     "FORMAT",
     "Counter",
     "Gauge",
-    "JsonlTraceWriter",
     "MetricsRegistry",
     "NET_CATEGORIES",
     "PKT_CATEGORIES",
@@ -51,8 +49,6 @@ __all__ = [
     "RunObserver",
     "TimeHistogram",
     "bin_index",
-    "bin_midpoint",
-    "bin_start",
     "build_manifest",
     "default_trace_categories",
     "export_metrics",

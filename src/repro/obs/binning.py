@@ -56,13 +56,3 @@ def n_bins(t_end: float, bin_width: float) -> int:
     if abs(q - nearest) <= BOUNDARY_RTOL * max(1.0, abs(nearest)):
         return int(nearest)
     return int(math.ceil(q))
-
-
-def bin_start(index: int, bin_width: float) -> float:
-    """Left edge of bin ``index``."""
-    return index * bin_width
-
-
-def bin_midpoint(index: int, bin_width: float) -> float:
-    """Midpoint time of bin ``index`` (what the figure tables print)."""
-    return (index + 0.5) * bin_width

@@ -11,8 +11,8 @@ so a file is self-describing and replayable:
 * **trace** — the manifest followed by one record per captured
   :class:`~repro.sim.trace.TraceRecord`, payloads summarized via
   :func:`repro.obs.recorder.summarize_detail`.  One multicast's receive
-  records all carry the same packet, so the writers encode a packet's
-  summary once and reuse it (:func:`_trace_line_formatter`).
+  records all carry the same packet, so the writer encodes a packet's
+  summary once and reuses it (:func:`_trace_line_formatter`).
 
 The manifest pins everything needed to regenerate the run: master seed,
 topology name, protocol/config summary, and the source git revision.
@@ -26,7 +26,7 @@ import itertools
 import json
 import os
 import subprocess
-from typing import Callable, Dict, Iterable, List, Optional, TextIO, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.obs.recorder import summarize_detail
 from repro.obs.registry import MetricsRegistry
@@ -40,9 +40,6 @@ _encode = json.JSONEncoder(sort_keys=True, default=str).encode
 
 #: Lines joined into one ``write`` call.
 _CHUNK_LINES = 4096
-
-#: Packet summaries a streaming writer keeps before it starts over.
-_MEMO_LIMIT = 4096
 
 _INF = float("inf")
 
@@ -123,16 +120,12 @@ def build_manifest(
     return manifest
 
 
-def _create(path: str) -> TextIO:
-    """Open ``path`` for writing, making its directory first."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    return open(path, "w")
-
-
 def _write_lines(path: str, lines: Iterable[str]) -> None:
-    """Write newline-terminated ``lines`` to ``path``, a chunk per write."""
+    """Write newline-terminated ``lines`` to ``path`` (making its directory
+    first), a chunk per write."""
     lines = iter(lines)
-    with _create(path) as handle:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as handle:
         while True:
             chunk = "".join(itertools.islice(lines, _CHUNK_LINES))
             if not chunk:
@@ -215,7 +208,7 @@ def trace_record_to_dict(record: TraceRecord) -> Dict[str, object]:
     """One trace line's payload.
 
     The sharded engine ships these dicts across processes; the trace
-    writers format lines directly and the tests hold them to
+    writer formats lines directly and the tests hold it to
     ``json.dumps(trace_record_to_dict(r), sort_keys=True, default=str)``.
     """
     return {
@@ -227,9 +220,7 @@ def trace_record_to_dict(record: TraceRecord) -> Dict[str, object]:
     }
 
 
-def _trace_line_formatter(
-    memo_limit: Optional[int] = None,
-) -> Callable[[TraceRecord], str]:
+def _trace_line_formatter() -> Callable[[TraceRecord], str]:
     """A function from a trace record to its newline-terminated JSON line.
 
     The line is the sorted-key encoding of :func:`trace_record_to_dict`,
@@ -241,8 +232,7 @@ def _trace_line_formatter(
     or whose node or category is not an ``int`` and a ``str``, takes the
     dict route whole.
 
-    The memo lives as long as the returned function; ``memo_limit`` makes
-    it start over at that many packets, for a writer that outlives a run.
+    The memo lives as long as the returned function.
     """
     # Not at module level: repro.net imports repro.obs.binning, and pulling
     # the network stack in from here would reorder every program's imports.
@@ -265,8 +255,6 @@ def _trace_line_formatter(
         if isinstance(detail, Packet):
             fragment = fragments.get(detail.uid)
             if fragment is None:
-                if len(fragments) == memo_limit:
-                    fragments.clear()
                 fragment = fragments[detail.uid] = _encode(summarize_detail(detail))
         else:
             fragment = _encode(summarize_detail(detail))
@@ -296,49 +284,3 @@ def export_trace(
         ),
     )
     return path
-
-
-class JsonlTraceWriter:
-    """Incremental trace writer: a ``trace_sink`` for :class:`RunObserver`.
-
-    Streams records to disk as they happen instead of buffering a full
-    run's trace in memory — the long-run / production-scale mode.  At most
-    ``_CHUNK_LINES`` formatted lines wait in memory for the next write, so
-    the file is complete only after :meth:`close`.
-    """
-
-    def __init__(self, path: str, manifest: Dict[str, object]) -> None:
-        self.path = path
-        self.records_written = 0
-        self._line = _trace_line_formatter(_MEMO_LIMIT)
-        self._pending: List[str] = []
-        self._handle = _create(path)
-        try:
-            self._handle.write(_encode(manifest) + "\n")
-        except BaseException:
-            self._handle.close()
-            raise
-
-    def __call__(self, record: TraceRecord) -> None:
-        pending = self._pending
-        pending.append(self._line(record))
-        self.records_written += 1
-        if len(pending) >= _CHUNK_LINES:
-            self._flush()
-
-    def _flush(self) -> None:
-        self._handle.write("".join(self._pending))
-        self._pending.clear()
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            try:
-                self._flush()
-            finally:
-                self._handle.close()
-
-    def __enter__(self) -> "JsonlTraceWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

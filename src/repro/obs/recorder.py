@@ -23,7 +23,7 @@ Everything lands in a :class:`~repro.obs.registry.MetricsRegistry`; the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.registry import Counter, MetricsRegistry, TimeHistogram
 from repro.sim.trace import TraceRecord, Tracer
@@ -125,8 +125,6 @@ class RunObserver:
         bin_width: float = 0.1,
         zone_of: Optional[Dict[int, int]] = None,
         capture_trace: bool = False,
-        trace_categories: Optional[Sequence[str]] = None,
-        trace_sink: Optional[Callable[[TraceRecord], None]] = None,
         global_events: bool = True,
     ) -> None:
         """
@@ -138,12 +136,9 @@ class RunObserver:
                 per-(zone, kind) time histograms.  This puts a listener on
                 the forwarding hot path, so leave it None for runs where
                 per-node series (the :class:`TrafficMonitor`) suffice.
-            capture_trace: keep every matching record in
-                :attr:`trace_records` for export.
-            trace_categories: categories to capture (defaults to
-                :func:`default_trace_categories`).
-            trace_sink: stream records to a callable instead of (in
-                addition to) the in-memory list — for incremental writers.
+            capture_trace: keep every record of the
+                :func:`default_trace_categories` in :attr:`trace_records`
+                for export.
             global_events: observe run-global events (fault injections,
                 routing reconvergence).  A zone-sharded run replicates the
                 fault plan into every shard, so exactly one shard's
@@ -156,11 +151,7 @@ class RunObserver:
         self.bin_width = float(bin_width)
         self.zone_of = zone_of
         self.capture_trace = capture_trace
-        self.trace_sink = trace_sink
         self.global_events = global_events
-        self.trace_categories: Tuple[str, ...] = tuple(
-            trace_categories if trace_categories is not None else default_trace_categories()
-        )
         #: Captured records; listeners hold its ``append``, so it is only
         #: ever extended in place.
         self.trace_records: List[TraceRecord] = []
@@ -178,7 +169,7 @@ class RunObserver:
         """Subscribe every listener; idempotent."""
         if self._attached:
             return self
-        capture = self._capture_listener()
+        capture = self.trace_records.append if self.capture_trace else None
         for category in PROTOCOL_CATEGORIES:
             self._subscribe(category, self._on_protocol, capture)
         for category in ZCR_CATEGORIES:
@@ -197,7 +188,7 @@ class RunObserver:
             if not self.global_events:
                 already.update(NET_CATEGORIES)
                 already.update(fault_categories())
-            for category in self.trace_categories:
+            for category in default_trace_categories():
                 if category not in already:
                     self._subscribe(category, None, capture)
         self._attached = True
@@ -213,27 +204,13 @@ class RunObserver:
         self._subscriptions.clear()
         self._attached = False
 
-    def _capture_listener(self) -> Optional[Callable[[TraceRecord], None]]:
-        """What a captured record is handed to, or None when nothing captures.
-
-        With one destination that is the destination itself — the list's
-        ``append`` or the sink — so a captured record costs one call.
-        """
-        if not self.capture_trace:
-            return self.trace_sink
-        if self.trace_sink is None:
-            return self.trace_records.append
-        return self._record_trace
-
     def _subscribe(
         self,
         category: str,
         handler: Optional[Callable[[TraceRecord], None]],
         capture: Optional[Callable[[TraceRecord], None]],
     ) -> None:
-        """Subscribe ``handler``, ``capture`` (for a traced category), or both."""
-        if category not in self.trace_categories:
-            capture = None
+        """Subscribe ``handler``, ``capture``, or both."""
         if handler is None:
             listener = capture
         elif capture is None:
@@ -246,10 +223,6 @@ class RunObserver:
         self._subscriptions.append((category, listener))
 
     # -------------------------------------------------------------- listeners
-
-    def _record_trace(self, record: TraceRecord) -> None:
-        self.trace_records.append(record)
-        self.trace_sink(record)
 
     def _on_protocol(self, record: TraceRecord) -> None:
         detail = record.detail if isinstance(record.detail, dict) else {}

@@ -174,10 +174,6 @@ class ZoneHierarchy:
         """All session member node ids (the root zone's nodes)."""
         return set(self.root.nodes)
 
-    def leaf_zones(self) -> List[Zone]:
-        """Zones with no children."""
-        return [z for z in self._zones.values() if not z.child_ids]
-
     def depth(self) -> int:
         """Number of levels (root-only hierarchy has depth 1)."""
         if self._root_id is None:

@@ -13,7 +13,6 @@ Public API::
     sim.run(until=10.0)
 """
 
-from repro.sim.engine import Engine
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Simulator, SimulationError
@@ -21,7 +20,6 @@ from repro.sim.timers import Timer, TimerError
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
-    "Engine",
     "Event",
     "EventQueue",
     "RngRegistry",

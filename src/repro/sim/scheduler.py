@@ -97,12 +97,6 @@ class Simulator:
             raise SimulationError(f"negative delay {delay!r}")
         return self._queue.reschedule(event, self._now + delay)
 
-    def reschedule_at(self, event: Event, time: float) -> Event:
-        """Re-arm a still-pending event at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time!r}, now is {self._now!r}")
-        return self._queue.reschedule(event, time)
-
     def rearm(self, event: Event, delay: float) -> Event:
         """Re-arm an already-fired event ``delay`` seconds from now.
 
@@ -113,12 +107,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self._queue.rearm_fired(event, self._now + delay)
-
-    def rearm_at(self, event: Event, time: float) -> Event:
-        """Re-arm an already-fired event at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time!r}, now is {self._now!r}")
-        return self._queue.rearm_fired(event, time)
 
     # ------------------------------------------------------------------- run
 

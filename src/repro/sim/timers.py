@@ -76,20 +76,6 @@ class Timer:
         else:
             self._clock.reschedule(event, delay)
 
-    def extend_to(self, time: float) -> None:
-        """Ensure the timer fires no earlier than absolute ``time``.
-
-        Used by the LDP timer when later packets push out the estimated
-        end-of-group arrival time.
-        """
-        event = self._event
-        if event is None or event.cancelled:
-            self._event = self._clock.at(time, self._fire)
-        elif event.fired:
-            self._clock.rearm_at(event, time)
-        elif event.time < time:
-            self._clock.reschedule_at(event, time)
-
     def cancel(self) -> None:
         """Disarm the timer if pending (idempotent)."""
         if self._event is not None:

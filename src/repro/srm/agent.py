@@ -17,7 +17,7 @@ against SHARQFEC's scoped repairs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.rtt import RttTable
 from repro.net.packet import Packet
@@ -197,26 +197,6 @@ class SrmAgent:
             elapsed = self.clock.now - loss.detected_at
             d = self._source_distance()
             self.request_timer_state.record_event(duplicates, elapsed / max(2 * d, 1e-6))
-
-    def bulk_advance(self, upto_seq: int, received: Iterable[int]) -> None:
-        """Advance the sequence state machine in one call.
-
-        Equivalent to feeding :meth:`_handle_data` every packet of
-        ``received`` in order and then learning (via a gap or a session
-        advertisement) that the stream extends through ``upto_seq``:
-        arrivals are marked, pending loss records they satisfy are closed,
-        and a loss record with a live request timer is armed for every
-        remaining gap in ``0..upto_seq``.  Bulk-delivery engines use this
-        to skip per-packet event dispatch while leaving the recovery
-        machinery (request timers, suppression, repairs) fully armed.
-        """
-        if self._stopped:
-            return
-        for seq in sorted(received):
-            if seq not in self.received:
-                self.data_received += 1
-                self._mark_received(seq)
-        self._note_exists(upto_seq)
 
     def _note_exists(self, seq: int) -> None:
         """Every packet up to ``seq`` exists; unreceived ones are losses."""

@@ -23,7 +23,7 @@ Contract notes
 
 * ``schedule``/``at`` return a handle exposing ``time``, ``cancelled`` and
   ``fired`` (the surface :class:`repro.sim.timers.Timer` needs);
-  ``reschedule*`` re-arms *pending* handles, ``rearm*`` re-arms *fired*
+  ``reschedule`` re-arms *pending* handles, ``rearm`` re-arms *fired*
   ones — both raise ``ValueError`` on cancelled handles.
 * A simulation :class:`Clock` raises on scheduling in the past (time
   travel is a bug there); a wall :class:`Clock` clamps to "now" instead,
@@ -101,16 +101,8 @@ class Clock(Protocol):
         """Re-arm a *pending* handle ``delay`` seconds from now."""
         ...
 
-    def reschedule_at(self, event: Any, time: float) -> Any:
-        """Re-arm a *pending* handle at absolute ``time``."""
-        ...
-
     def rearm(self, event: Any, delay: float) -> Any:
         """Re-arm a *fired* handle ``delay`` seconds from now."""
-        ...
-
-    def rearm_at(self, event: Any, time: float) -> Any:
-        """Re-arm a *fired* handle at absolute ``time``."""
         ...
 
 

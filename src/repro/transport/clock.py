@@ -120,29 +120,21 @@ class AsyncioClock:
 
     def reschedule(self, event: WallTimerHandle, delay: float) -> WallTimerHandle:
         """Re-arm a *pending* handle ``delay`` seconds from now."""
-        return self.reschedule_at(event, self.now + delay)
-
-    def reschedule_at(self, event: WallTimerHandle, time: float) -> WallTimerHandle:
-        """Re-arm a *pending* handle at absolute ``time``."""
         if event._cancelled:
             raise ValueError("cannot reschedule a cancelled timer handle")
         if event._fired:
             raise ValueError("cannot reschedule a fired timer handle; use rearm")
         if event._handle is not None:
             event._handle.cancel()
-        self._arm(event, time)
+        self._arm(event, self.now + delay)
         return event
 
     def rearm(self, event: WallTimerHandle, delay: float) -> WallTimerHandle:
         """Re-arm a *fired* handle ``delay`` seconds from now."""
-        return self.rearm_at(event, self.now + delay)
-
-    def rearm_at(self, event: WallTimerHandle, time: float) -> WallTimerHandle:
-        """Re-arm a *fired* handle at absolute ``time``."""
         if event._cancelled:
             raise ValueError("cannot rearm a cancelled timer handle")
         if not event._fired:
             raise ValueError("cannot rearm a pending timer handle; use reschedule")
         event._fired = False
-        self._arm(event, time)
+        self._arm(event, self.now + delay)
         return event

@@ -146,10 +146,10 @@ class NodeRuntime:
         relay so an orchestrator can observe the roster filling up.
         """
         deadline = self.clock.now + timeout
-        while self.clock.now < deadline:
-            if self.complete():
-                if announce and not self.is_sender:
-                    self.transport.announce_done(self.node_id)
-                return True
+        while not self.complete():
+            if self.clock.now >= deadline:
+                return False
             await asyncio.sleep(poll_interval)
-        return self.complete()
+        if announce and not self.is_sender:
+            self.transport.announce_done(self.node_id)
+        return True

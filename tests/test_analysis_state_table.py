@@ -48,8 +48,8 @@ def test_nonscoped_traffic_is_n_squared():
 
 def test_ratios_are_tiny():
     for row in state_reduction_table():
-        assert row.traffic_ratio < 1e-6
-        assert row.state_ratio < 1e-4
+        assert row.scoped_traffic / row.nonscoped_traffic < 1e-6
+        assert row.scoped_state / row.nonscoped_state < 1e-4
 
 
 def test_zone_counts():

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import render_series, render_table
-from repro.analysis.timeseries import (
-    max_ratio,
-    repair_tail_length,
-    series_stats,
-    sum_series,
-)
+from repro.analysis.timeseries import repair_tail_length, series_stats
 
 
 def test_series_stats_basics():
@@ -32,16 +27,6 @@ def test_repair_tail_length():
     assert repair_tail_length(series, data_end_index=4) == 5
     assert repair_tail_length(series, data_end_index=4, threshold=0.9) == 3
     assert repair_tail_length([10, 10], data_end_index=4) == 0
-
-
-def test_sum_series_uneven_lengths():
-    assert sum_series([1, 2], [10, 20, 30]) == [11, 22, 30]
-    assert sum_series([], [1]) == [1]
-
-
-def test_max_ratio_ignores_idle_bins():
-    assert max_ratio([10, 100], [1, 0.5], floor=1.0) == 10.0
-    assert max_ratio([5], [0], floor=1.0) == 0.0
 
 
 def test_render_table_alignment():

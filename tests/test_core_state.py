@@ -70,7 +70,6 @@ def test_zlc_monotone_per_zone():
     assert s.zlc_for(10) == 3
     assert s.zlc_for(11) == 0
     assert s.raise_zlc(11, 5)
-    assert s.max_zlc() == 5
 
 
 def test_allocate_repair_indices_monotone():

@@ -138,3 +138,23 @@ def test_cli_analytic_figure(capsys):
     assert cli_main(["fig8"]) == 0
     out = capsys.readouterr().out
     assert "Suburb" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["national", "--progress", "1"],
+        ["national", "--zone-traffic"],
+        ["national", "--csv", "out"],
+        ["fig8", "--fidelity", "hybrid"],
+        ["fig8", "--regions", "2"],
+        ["fig8", "--cities", "2"],
+        ["all", "--suburbs", "2"],
+        ["fig14", "--subscribers", "2"],
+    ],
+)
+def test_cli_rejects_a_flag_the_experiment_would_ignore(argv, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(argv[1] + " ") and captured.err.count("\n") == 1

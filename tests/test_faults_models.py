@@ -51,12 +51,6 @@ def test_matched_params_hit_target_stationary_rate():
         matched_gilbert_params(0.99, p_bg=0.2)  # would need p_gb > 1
 
 
-def test_burst_and_gap_means():
-    model = make_model(p_gb=0.05, p_bg=0.25, slot_s=0.01)
-    assert model.mean_burst_s == pytest.approx(0.04)
-    assert model.mean_gap_s == pytest.approx(0.2)
-
-
 # --------------------------------------------------------------------- chain
 
 

@@ -37,22 +37,6 @@ def test_deficit_counts_remaining_need():
     assert asm.deficit() == 0
 
 
-def test_missing_data_lists_original_gaps():
-    asm = GroupAssembler(k=4)
-    asm.add(0)
-    asm.add(2)
-    asm.add(6)
-    assert asm.missing_data() == [1, 3]
-
-
-def test_highest_index():
-    asm = GroupAssembler(k=4)
-    assert asm.highest_index() == -1
-    asm.add(2)
-    asm.add(8)
-    assert asm.highest_index() == 8
-
-
 def test_negative_index_rejected():
     asm = GroupAssembler(k=2)
     with pytest.raises(CodecError):

@@ -1,9 +1,9 @@
 """Unit and property tests for the hybrid engine's bulk primitives.
 
 Where ``tests/test_hybrid_differential.py`` compares whole runs across
-fidelities, this file pins the three building blocks the flow engine
-leans on — ``TrafficMonitor.record_bulk``, ``SrmAgent.bulk_advance``,
-and the analytic session seed — plus the statistical contract that makes
+fidelities, this file pins the two building blocks the flow engine
+leans on — ``TrafficMonitor.record_bulk`` and the analytic session
+seed — plus the statistical contract that makes
 the flow model honest: per-receiver loss *marginals* match the
 compounded per-link product (``Network.path_loss``, which is also what
 ``repro.analysis.treeloss`` computes).
@@ -24,8 +24,6 @@ from repro.hybrid import HybridSharqfecProtocol
 from repro.net.monitor import PacketEvent, TrafficMonitor
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
-from repro.srm.agent import SrmAgent
-from repro.srm.config import SrmConfig
 from repro.topology.figure10 import build_figure10
 
 
@@ -70,68 +68,6 @@ def test_record_bulk_mask_zero_is_noop():
     monitor = TrafficMonitor()
     monitor.record_bulk("recv", "DATA", 3, 1.0, 0.01, 0, 1024)
     assert _dump(monitor) == _dump(TrafficMonitor())
-
-
-# ------------------------------------------------------ SrmAgent.bulk_advance
-
-
-def make_receiver(n_packets=64):
-    sim = Simulator(seed=1)
-    net = Network(sim)
-    net.add_node()
-    net.add_node()
-    net.add_link(0, 1, 10e6, 0.010)
-    members = {0, 1}
-    data = net.create_group("d", scope=members).group_id
-    sess = net.create_group("s", scope=members).group_id
-    cfg = SrmConfig(n_packets=n_packets)
-    rcv = SrmAgent(1, sim, net, data, sess, cfg, 0)
-    rcv.join()
-    return rcv
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_bulk_advance_equals_per_packet_sequence(data):
-    """bulk_advance(upto, received) is observably identical to handling
-    each received packet in order and then learning the stream extent."""
-    upto = data.draw(st.integers(min_value=0, max_value=40))
-    received = data.draw(
-        st.sets(st.integers(min_value=0, max_value=40), max_size=30)
-    )
-    stepwise = make_receiver()
-    bulk = make_receiver()
-
-    for seq in sorted(received):
-        stepwise._handle_data(seq)
-    stepwise._note_exists(upto)
-    bulk.bulk_advance(upto, received)
-
-    assert bulk.received == stepwise.received
-    assert bulk.highest_seen == stepwise.highest_seen
-    assert bulk.data_received == stepwise.data_received
-    assert set(bulk.losses) == set(stepwise.losses)
-    for seq, loss in bulk.losses.items():
-        assert loss.timer.running
-        assert stepwise.losses[seq].timer.running
-
-
-def test_bulk_advance_closes_prior_losses():
-    rcv = make_receiver()
-    rcv._handle_data(0)
-    rcv._handle_data(3)
-    assert set(rcv.losses) == {1, 2}
-    rcv.bulk_advance(6, {1, 2, 4})
-    assert set(rcv.losses) == {5, 6}
-    assert rcv.received == {0, 1, 2, 3, 4}
-
-
-def test_bulk_advance_noop_when_stopped():
-    rcv = make_receiver()
-    rcv._stopped = True
-    rcv.bulk_advance(10, {0, 1})
-    assert rcv.received == set()
-    assert rcv.losses == {}
 
 
 # ------------------------------------------------------------- session seed

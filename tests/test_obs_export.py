@@ -24,14 +24,11 @@ from repro.experiments.common import (
 )
 from repro.obs.export import (
     FORMAT,
-    JsonlTraceWriter,
     build_manifest,
     export_metrics,
     git_revision,
 )
 from repro.net.monitor import PacketEvent, TrafficMonitor
-from repro.obs.recorder import RunObserver
-from repro.sim.scheduler import Simulator
 
 N_PACKETS = 12
 SEED = 5
@@ -175,18 +172,3 @@ def test_export_metrics_standalone_monitor(tmp_path):
     assert rebuilt.series(["DATA"], 1) == [0, 0, 0, 1]
     assert rebuilt.drop_series(["FEC"], 2) == [0, 0, 0, 0, 1]
     assert rebuilt.total_bytes(["DATA"]) == 1000
-
-
-def test_jsonl_trace_writer_streams_incrementally(tmp_path):
-    sim = Simulator(seed=1)
-    path = str(tmp_path / "stream.trace.jsonl")
-    with JsonlTraceWriter(path, build_manifest("trace", run="unit")) as writer:
-        observer = RunObserver(sim, trace_sink=writer).attach()
-        sim.tracer.emit(0.5, "sharqfec.nack", 3, {"zone": 1})
-        sim.tracer.emit(0.6, "net.reconverge", -1, None)
-        observer.detach()
-        assert writer.records_written == 2
-    trace = load_trace(path)
-    assert [r["cat"] for r in trace.records] == ["sharqfec.nack", "net.reconverge"]
-    # Nothing buffered in memory: the observer list stays empty.
-    assert observer.trace_records == []

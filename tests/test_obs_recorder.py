@@ -70,20 +70,6 @@ def test_zone_traffic_histograms():
     assert obs.registry.histogram("zone_drops", 0.1, zone=30, kind="DATA").bins == {4: 1}
 
 
-def test_trace_capture_and_sink():
-    sim = Simulator(seed=1)
-    sunk = []
-    obs = RunObserver(sim, capture_trace=True, trace_sink=sunk.append).attach()
-    sim.tracer.emit(1.0, "sharqfec.nack", 5, {"zone": 2})
-    sim.tracer.emit(1.0, "pkt.send", 0, Packet(src=0, group=1, size_bytes=8, kind="DATA"))
-    obs.detach()
-    assert [r.category for r in obs.trace_records] == ["sharqfec.nack", "pkt.send"]
-    assert sunk == obs.trace_records
-    # Each record reaches the capture path exactly once even though the
-    # nack category also has a metrics listener.
-    assert obs.registry.counter("nacks_sent", protocol="sharqfec", zone=2).value == 1
-
-
 def test_detach_restores_zero_cost():
     sim = Simulator(seed=1)
     assert not sim.tracer.wants("sharqfec.repair")

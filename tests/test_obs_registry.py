@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.binning import BOUNDARY_RTOL, bin_index, bin_midpoint, bin_start, n_bins
+from repro.obs.binning import BOUNDARY_RTOL, bin_index, n_bins
 from repro.obs.registry import MetricsRegistry, TimeHistogram
 
 
@@ -42,11 +42,6 @@ def test_n_bins_contract():
     assert n_bins(0.31, 0.1) == 4
     for k in range(1, 100):
         assert n_bins(k * 0.1, 0.1) == k
-
-
-def test_bin_edges_and_midpoints():
-    assert bin_start(3, 0.1) == pytest.approx(0.3)
-    assert bin_midpoint(0, 0.1) == pytest.approx(0.05)
 
 
 def test_boundary_rtol_is_tight():

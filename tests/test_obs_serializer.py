@@ -1,9 +1,9 @@
-"""The trace writers against their oracle.
+"""The trace writer against its oracle.
 
 ``json.dumps(trace_record_to_dict(r), sort_keys=True, default=str)`` is the
-definition of one ``sharqfec.obs.v1`` trace line.  The writers assemble the
-same bytes from memoised parts (:func:`repro.obs.export._trace_line_formatter`);
-these tests hold them to the definition, record by record and over a whole
+definition of one ``sharqfec.obs.v1`` trace line.  ``export_trace`` assembles
+the same bytes from memoised parts (:func:`repro.obs.export._trace_line_formatter`);
+these tests hold it to the definition, record by record and over a whole
 run, and pin the work the memo saves.
 """
 
@@ -21,12 +21,7 @@ import repro.scenario as scenario
 from repro.analysis.obsload import monitor_from_export
 from repro.experiments.common import ObservabilityOptions, run_traffic
 from repro.net.packet import Packet
-from repro.obs.export import (
-    JsonlTraceWriter,
-    build_manifest,
-    export_trace,
-    trace_record_to_dict,
-)
+from repro.obs.export import export_trace, trace_record_to_dict
 from repro.sim.trace import TraceRecord
 from tests.test_transport_wire import pdu_strategy
 
@@ -75,15 +70,6 @@ def test_fast_line_equals_the_oracle(pool, shapes):
         assert line(record) == oracle_line(record)
 
 
-def test_bounded_memo_starts_over_and_stays_exact():
-    packets = [Packet("DATA", 0, 1, 100 + i) for i in range(5)]
-    line = export._trace_line_formatter(memo_limit=2)
-    for _ in range(2):
-        for i, packet in enumerate(packets):
-            record = TraceRecord(0.1 * i, "pkt.recv", i, packet)
-            assert line(record) == oracle_line(record)
-
-
 # ----------------------------------------------------------------- whole run
 
 
@@ -119,24 +105,16 @@ def run(tmp_path_factory):
         )
     (metrics,) = [n for n in os.listdir(root) if n.endswith(".metrics.jsonl")]
     seen["metrics"] = os.path.join(root, metrics)
-    seen["root"] = root
     return seen
 
 
 def test_batch_streaming_and_oracle_write_the_same_bytes(run):
     with open(run["path"], "rb") as handle:
         batch = handle.read()
-    streamed_path = str(run["root"] / "streamed.trace.jsonl")
-    with JsonlTraceWriter(streamed_path, run["manifest"]) as writer:
-        for record in run["records"]:
-            writer(record)
-    assert writer.records_written == len(run["records"]) > 10_000
-    with open(streamed_path, "rb") as handle:
-        streamed = handle.read()
+    assert len(run["records"]) > 10_000
     oracle = json.dumps(run["manifest"], sort_keys=True, default=str) + "\n"
     oracle += "".join(map(oracle_line, run["records"]))
     assert batch == oracle.encode()
-    assert streamed == batch
 
 
 def test_summarize_detail_runs_once_per_distinct_packet(run):
@@ -168,32 +146,3 @@ def test_mean_series_equals_the_per_node_path_on_a_reloaded_export(run):
             ]
             assert monitor.mean_series(kinds, chosen, t_end) == expected
     assert monitor.mean_series(["DATA"], []) == []
-
-
-# ------------------------------------------------------------ writer set-up
-
-
-def test_writer_closes_its_file_when_the_manifest_cannot_be_written(tmp_path, monkeypatch):
-    opened = []
-
-    def spying_open(*args, **kwargs):
-        opened.append(open(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(export, "open", spying_open, raising=False)
-    with pytest.raises(TypeError):
-        # A tuple key is not JSON, whatever ``default`` says.
-        JsonlTraceWriter(str(tmp_path / "bad.trace.jsonl"), {("not", "json"): 1})
-    assert len(opened) <= 1 and all(handle.closed for handle in opened)
-
-
-def test_writer_counts_from_zero_and_completes_the_file_on_close(tmp_path):
-    path = str(tmp_path / "w.trace.jsonl")
-    writer = JsonlTraceWriter(path, build_manifest("trace", run="unit"))
-    assert writer.records_written == 0
-    record = TraceRecord(1.25, "zcr.takeover", 7, {"zone": 3, "epoch": 2})
-    writer(record)
-    writer.close()
-    writer.close()  # idempotent
-    with open(path) as handle:
-        assert handle.read().splitlines(keepends=True)[1:] == [oracle_line(record)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import importlib
 import pathlib
 import re
@@ -13,6 +15,8 @@ import pytest
 import repro
 import repro.hybrid
 import repro.net
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_all_is_sorted_and_complete():
@@ -72,3 +76,52 @@ def test_interface_implementations_are_registered():
     # The seam types and their implementations, via the curated surface.
     assert isinstance(repro.Simulator(seed=1), repro.Clock)
     assert isinstance(repro.Network(repro.Simulator(seed=1)), repro.Transport)
+
+
+def test_the_clock_seam_is_six_methods_with_two_implementers():
+    members = {name for name in vars(repro.Clock) if not name.startswith("_")}
+    members |= set(repro.Clock.__annotations__)
+    assert members == {
+        "now", "rng", "tracer",
+        "schedule", "at", "call_at", "cancel", "reschedule", "rearm",
+    }
+    assert isinstance(repro.Simulator(seed=1), repro.Clock)
+    loop = asyncio.new_event_loop()
+    try:
+        assert isinstance(repro.AsyncioClock(loop), repro.Clock)
+    finally:
+        loop.close()
+
+
+def test_the_on_off_switches_are_the_five_somebody_flips():
+    switches = {
+        field.name
+        for field in dataclasses.fields(repro.SharqfecConfig)
+        if field.type in (bool, "bool")
+    }
+    assert switches == {
+        "scoping", "injection", "sender_only",  # the paper's ns / ni / so
+        "adaptive_timers", "late_join_recovery",
+    }
+
+
+def test_every_name_the_benchmark_binds_resolves():
+    """``benchmarks/e2e`` wraps methods and calls functions by name; a rename
+    it has not followed must fail here, not only in the benchmark run."""
+    code = """
+import ast, sys, types
+sys.path.insert(0, "benchmarks/e2e")
+import bench, kernels, workloads
+for owner, attribute, _ in bench._wrap_targets():
+    # As spans.py resolves them: methods on the class that defines them.
+    target = owner.__dict__[attribute] if isinstance(owner, type) else getattr(owner, attribute)
+    assert callable(target), (owner, attribute)
+for node in ast.walk(ast.parse(open(workloads.__file__).read())):
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        module = getattr(workloads, node.value.id, None)
+        if isinstance(module, types.ModuleType) and module.__name__.startswith("repro"):
+            assert hasattr(module, node.attr), (module.__name__, node.attr)
+"""
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, cwd=ROOT, env={"PYTHONPATH": "src"}
+    )

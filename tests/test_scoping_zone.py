@@ -59,11 +59,6 @@ def test_children_and_parent():
     assert h.parent(z0.zone_id) is None
 
 
-def test_leaf_zones():
-    h, zones = build_paper_figure3()
-    assert {z.name for z in h.leaf_zones()} == {"Z3", "Z4", "Z5", "Z6"}
-
-
 def test_validate_passes_on_good_hierarchy():
     h, _ = build_paper_figure3()
     h.validate()

@@ -1,24 +1,24 @@
-"""Edge-case tests pinning the :class:`repro.sim.Engine` contract.
+"""Edge-case tests pinning the simulation clock's contract.
 
-The sharded engine drives simulators only through the Engine protocol
-(:mod:`repro.sim.engine`), so the behaviors its windowed loop leans on —
-seed-stable replay after ``reset``, ``run(until=...)`` leaving the clock
-exactly at the horizon, rejection of past-time scheduling, and the
-pending/fired/cancelled life-cycle rules of ``reschedule``/``rearm`` —
-are contract, not implementation detail.  These tests keep
-:class:`~repro.sim.scheduler.Simulator` honest about each clause.
+Everything above the simulator drives it through
+:class:`repro.transport.api.Clock` plus ``run``/``stop``/``step``/``reset``,
+so the behaviors callers lean on — seed-stable replay after ``reset``,
+``run(until=...)`` leaving the clock exactly at the horizon, rejection of
+past-time scheduling, and the pending/fired/cancelled life-cycle rules of
+``reschedule``/``rearm`` — are contract, not implementation detail.  These
+tests keep :class:`~repro.sim.scheduler.Simulator` honest about each clause.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Engine
 from repro.sim.scheduler import SimulationError, Simulator
+from repro.transport.api import Clock
 
 
 def test_simulator_satisfies_engine_protocol():
-    assert isinstance(Simulator(), Engine)
+    assert isinstance(Simulator(), Clock)
 
 
 def test_reset_with_seed_replays_identically():
@@ -164,8 +164,6 @@ def test_past_time_scheduling_is_rejected():
     with pytest.raises(SimulationError):
         sim.schedule(-1.0, lambda: None)
     event = sim.at(6.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.reschedule_at(event, 4.0)
     with pytest.raises(SimulationError):
         sim.reschedule(event, -1.0)
 

@@ -55,36 +55,6 @@ def test_restart_works_when_idle():
     assert fired == [1.5]
 
 
-def test_extend_to_pushes_expiry_later():
-    sim = Simulator()
-    fired = []
-    timer = Timer(sim, lambda: fired.append(sim.now))
-    timer.start(1.0)
-    timer.extend_to(4.0)
-    sim.run()
-    assert fired == [4.0]
-
-
-def test_extend_to_never_moves_expiry_earlier():
-    sim = Simulator()
-    fired = []
-    timer = Timer(sim, lambda: fired.append(sim.now))
-    timer.start(5.0)
-    timer.extend_to(2.0)
-    assert timer.expires_at == 5.0
-    sim.run()
-    assert fired == [5.0]
-
-
-def test_extend_to_arms_idle_timer():
-    sim = Simulator()
-    fired = []
-    timer = Timer(sim, lambda: fired.append(sim.now))
-    timer.extend_to(2.0)
-    sim.run()
-    assert fired == [2.0]
-
-
 def test_expires_at_reports_absolute_time():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)

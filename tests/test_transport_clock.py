@@ -202,14 +202,6 @@ def test_timer_runs_unchanged_over_the_wall_clock():
         await _drain(clock, clock.now + 0.02)
         assert len(fired) == 1
 
-        # extend_to pushes a pending expiry later, never earlier.
-        timer.restart(0.02)
-        expiry = timer.expires_at
-        timer.extend_to(expiry - 0.01)
-        assert timer.expires_at == expiry
-        timer.extend_to(expiry + 0.02)
-        assert timer.expires_at == expiry + 0.02
-
     asyncio.run(main())
 
 

@@ -34,7 +34,7 @@ def _small_config() -> SharqfecConfig:
     return SharqfecConfig(group_size=8, n_packets=48)
 
 
-async def _run_session(loss_factory, timeout: float = 45.0):
+async def _run_session(loss_factory, timeout: float = 45.0, announce: bool = True):
     relay = UdpRelay(loss_factory=loss_factory)
     addr = await relay.start()
     nodes = [
@@ -45,8 +45,12 @@ async def _run_session(loss_factory, timeout: float = 45.0):
         for node in nodes:
             await node.start(session_start=0.5, data_start=2.0)
         results = await asyncio.gather(
-            *(node.wait_complete(timeout) for node in nodes)
+            *(node.wait_complete(timeout, announce=announce) for node in nodes)
         )
+        if not announce:
+            # Complete with no time left: what a receiver that finishes
+            # during the last poll interval looks like to wait_complete.
+            results = [await node.wait_complete(0.0) for node in nodes]
         stats = await nodes[0].transport.relay_stats()
         return nodes, results, relay, stats
     finally:
@@ -59,7 +63,7 @@ def test_lossless_loopback_delivers():
     """Sanity: with no loss proxy, plain CBR delivery completes."""
 
     async def main():
-        nodes, results, relay, stats = await _run_session(loss_factory=None)
+        nodes, results, relay, stats = await _run_session(None, announce=False)
         assert all(results), f"incomplete nodes: {results}"
         assert relay.lossy_dropped == 0
         assert stats["measured_loss"] == 0.0
@@ -68,7 +72,7 @@ def test_lossless_loopback_delivers():
         )
         assert_eventual_delivery(view, context="lossless loopback")
         assert view.completion_fraction() == 1.0
-        # Receivers announced DONE to the relay roster.
+        # Receivers announced DONE to the relay roster, deadline or not.
         assert set(stats["done"]) == {1, 2}
 
     asyncio.run(main())
@@ -89,6 +93,7 @@ def test_lossy_loopback_recovers_full_stream():
             nodes[1].config, {n.node_id: n.agent for n in nodes if not n.is_sender}
         )
         assert_eventual_delivery(view, context="lossy loopback")
+        assert set(stats["done"]) == {1, 2}
         # Loss really happened — this is a recovery test, not a lucky run.
         assert relay.lossy_dropped > 0
         assert stats["lossy_dropped"] == relay.lossy_dropped
