@@ -95,12 +95,12 @@ def run_flood(n_packets: int = 512, seed: int = 3) -> tuple:
 def run_flood_observed(n_packets: int = 512, seed: int = 3) -> tuple:
     """The :func:`run_flood` workload with the full observability layer on.
 
-    Attaches a :class:`repro.obs.RunObserver` with per-zone traffic
-    aggregation (the most expensive listener set: ``pkt.recv`` and the
-    drop categories fire on every forwarded packet) on top of the usual
-    :class:`TrafficMonitor`.  Contrasted with plain :func:`run_flood` this
-    measures exactly what turning observation on costs — and, because the
-    tracer table is versioned, what turning it off refunds.
+    Attaches a :class:`repro.obs.RunObserver` with trace capture (the most
+    expensive listener set: every ``pkt.*`` category fires on every
+    forwarded packet) on top of the usual :class:`TrafficMonitor`.
+    Contrasted with plain :func:`run_flood` this measures exactly what
+    turning observation on costs — and, because the tracer table is
+    versioned, what turning it off refunds.
     """
     from repro.net.monitor import TrafficMonitor
     from repro.net.packet import Packet
@@ -119,11 +119,7 @@ def run_flood_observed(n_packets: int = 512, seed: int = 3) -> tuple:
         net.subscribe(group.group_id, node, sink)
     monitor = TrafficMonitor()
     net.add_observer(monitor)
-    zone_of = {
-        node: fig.hierarchy.smallest_zone(node).zone_id
-        for node in fig.hierarchy.members()
-    }
-    observer = RunObserver(sim, zone_of=zone_of).attach()
+    observer = RunObserver(sim, capture_trace=True).attach()
 
     def send() -> None:
         net.multicast(fig.source, Packet("DATA", fig.source, group.group_id, 1024))

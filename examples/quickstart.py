@@ -9,6 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import SharqfecConfig, SharqfecProtocol
+from repro.core.config import PACKET_SIZE
 from repro.net import Network
 from repro.scoping import ZoneHierarchy
 from repro.sim import Simulator
@@ -44,7 +45,7 @@ def main() -> None:
 
     print(f"protocol variant : {protocol.variant_name()}")
     print(f"stream           : {config.n_packets} packets "
-          f"x {config.packet_size} B in groups of {config.group_size}")
+          f"x {PACKET_SIZE} B in groups of {config.group_size}")
     print(f"completion       : {protocol.completion_fraction() * 100:.1f}%")
     print(f"NACKs sent       : {protocol.total_nacks_sent()}")
     for rid, receiver in sorted(protocol.receivers.items()):

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import (
+    C1, C2, DEFAULT_DISTANCE, PACKET_SIZE, ZCR_PDU_SIZE, ZLC_MEASURE_RTT_MULTIPLE,
+    SharqfecConfig,
+)
 from repro.core.injection import EwmaPredictor
 from repro.core.pdus import (
     FecPdu,
@@ -53,7 +56,7 @@ class SharqfecEndpoint:
         self.config = config
         self.source_id = source_id
         self.session = SessionManager(
-            node_id, clock, transport, channels, config, top_zcr=source_id
+            node_id, clock, transport, channels, top_zcr=source_id
         )
         self.election = ZcrElection(self.session)
         # The election owns on_zcr_change; repair-duty handoff and stream
@@ -339,7 +342,7 @@ class SharqfecEndpoint:
         pdu = ZcrReconcilePdu(
             src=self.node_id,
             group=self.channels.session_group(zone_id),
-            size_bytes=self.config.zcr_pdu_size + 8 * len(outstanding),
+            size_bytes=ZCR_PDU_SIZE + 8 * len(outstanding),
             zone_id=zone_id,
             epoch=self.session.zcr_epoch.get(zone_id, 0),
             outstanding=tuple(outstanding),
@@ -399,7 +402,7 @@ class SharqfecEndpoint:
         if self._is_zone_repair_authority(zone_id):
             timer.restart(0.0)
         else:
-            timer.restart(reply_delay(self.config, self._reply_rng, distance))
+            timer.restart(reply_delay(self._reply_rng, distance))
 
     def _on_reply_timer(self, zone_id: int, group_id: int) -> None:
         state = self.groups.get(group_id)
@@ -418,7 +421,7 @@ class SharqfecEndpoint:
         pdu = FecPdu(
             src=self.node_id,
             group=self.channels.repair_group(zone_id),
-            size_bytes=self.config.packet_size,
+            size_bytes=PACKET_SIZE,
             group_id=state.group_id,
             index=index,
             new_high_id=index,
@@ -449,7 +452,7 @@ class SharqfecEndpoint:
             for zone_id in self.zone_ids:
                 if state.outstanding.get(zone_id, 0) > 0:
                     distance = self._last_nack_dist.get(
-                        (zone_id, state.group_id), self.config.default_distance
+                        (zone_id, state.group_id), DEFAULT_DISTANCE
                     )
                     self._arm_reply_timer(zone_id, state, distance)
             self._run_zcr_injection(state)
@@ -512,9 +515,9 @@ class SharqfecEndpoint:
         # member's source distance is at most ours plus the zone radius.
         zone_rtt = self.session.max_zone_rtt(self.zone_ids[0])
         member_d = self.session.source_one_way(self.source_id) + zone_rtt / 2.0
-        nack_bound = 2.0 * (self.config.c1 + self.config.c2) * member_d
+        nack_bound = 2.0 * (C1 + C2) * member_d
         wait = max(
-            self.config.zlc_measure_rtt_multiple * zone_rtt,
+            ZLC_MEASURE_RTT_MULTIPLE * zone_rtt,
             zone_rtt + nack_bound,
         )
         for zone_id in zones:

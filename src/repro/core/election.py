@@ -8,8 +8,8 @@ module layers the production failover path on top:
 
 * A **failure detector** per zone derives ZCR liveness from session-message
   silence.  A zone's representative speaks on the zone's session channel
-  about once per ``session_interval``, and session PDUs are loss-exempt
-  (§6.2), so silence past ``zcr_liveness_timeout`` means crash, partition,
+  about once per ``SESSION_INTERVAL``, and session PDUs are loss-exempt
+  (§6.2), so silence past ``ZCR_LIVENESS_TIMEOUT`` means crash, partition,
   or divergent belief — never congestive loss.  All three are exactly the
   cases an election repairs.
 
@@ -22,7 +22,7 @@ module layers the production failover path on top:
   same outcome.  A computed winner that never follows through with a
   takeover (it died mid-election, or it flaps) lands in a failed-candidate
   set and the round retries with exponential backoff, bounded by
-  ``zcr_election_max_retries`` before the zone falls back to the bootstrap
+  ``ZCR_ELECTION_MAX_RETRIES`` before the zone falls back to the bootstrap
   watchdog path.
 
 * **Split-brain reconciliation**: when a heal merges two partition halves
@@ -43,6 +43,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple, TYPE_CHECKING
 
+from repro.core.config import (
+    DEFAULT_DISTANCE, ZCR_ELECTION_MAX_RETRIES, ZCR_ELECTION_RETRY_BASE,
+    ZCR_ELECTION_WINDOW, ZCR_LIVENESS_TIMEOUT, ZCR_PDU_SIZE, ZCR_TAKEOVER_MARGIN,
+)
 from repro.core.pdus import ZcrElectPdu
 from repro.sim.timers import Timer
 
@@ -84,7 +88,6 @@ class ElectionCoordinator:
         self.zcr = zcr
         self.session = zcr.session
         self.clock = zcr.clock
-        self.config = zcr.config
         self.transport = zcr.transport
         self.channels = zcr.channels
         self.node_id = zcr.node_id
@@ -147,7 +150,7 @@ class ElectionCoordinator:
         # Jittered per node so concurrent believers do not all declare the
         # same suspect in the same instant (the first election absorbs the
         # rest as joiners, but staggering keeps announcement traffic low).
-        return self.config.zcr_liveness_timeout * self._rng.uniform(0.9, 1.2)
+        return ZCR_LIVENESS_TIMEOUT * self._rng.uniform(0.9, 1.2)
 
     def _watch(self, zone_id: int) -> None:
         timer = self._detectors.get(zone_id)
@@ -217,10 +220,7 @@ class ElectionCoordinator:
         self._resolvers[zone_id].restart(self._window())
 
     def _window(self) -> float:
-        return self.config.zcr_election_window * self._rng.uniform(0.95, 1.05)
-
-    def _quantum(self) -> float:
-        return max(self.config.zcr_takeover_margin, 1e-9)
+        return ZCR_ELECTION_WINDOW * self._rng.uniform(0.95, 1.05)
 
     def _my_dist(self, zone_id: int) -> float:
         dist = self.zcr.my_dist_to_parent.get(zone_id)
@@ -233,7 +233,7 @@ class ElectionCoordinator:
         pdu = ZcrElectPdu(
             src=self.node_id,
             group=self.channels.session_group(zone_id),
-            size_bytes=self.config.zcr_pdu_size,
+            size_bytes=ZCR_PDU_SIZE,
             zone_id=zone_id,
             epoch=rnd.epoch,
             attempt=rnd.attempt,
@@ -242,7 +242,7 @@ class ElectionCoordinator:
         self.transport.multicast(self.node_id, pdu)
 
     def _beats_all(self, zone_id: int, rnd: ZoneRound) -> bool:
-        quantum = self._quantum()
+        quantum = ZCR_TAKEOVER_MARGIN
         mine = candidate_key(self._my_dist(zone_id), self.node_id, quantum)
         return all(
             mine < candidate_key(dist, cand, quantum)
@@ -279,7 +279,7 @@ class ElectionCoordinator:
 
     def _winner(self, zone_id: int, rnd: ZoneRound) -> Optional[int]:
         failed = self._failed.get(zone_id, ())
-        quantum = self._quantum()
+        quantum = ZCR_TAKEOVER_MARGIN
         best: Optional[int] = None
         best_key: Optional[Tuple[int, int, int]] = None
         for cand, dist in rnd.candidates.items():
@@ -306,7 +306,7 @@ class ElectionCoordinator:
         else:
             # Wait for the winner's takeover; its absence marks it failed.
             self._confirms[zone_id].restart(
-                self._window() + 2.0 * self.config.default_distance
+                self._window() + 2.0 * DEFAULT_DISTANCE
             )
 
     def _on_confirm(self, zone_id: int) -> None:
@@ -327,11 +327,11 @@ class ElectionCoordinator:
         self._next_attempt(zone_id, rnd)
 
     def _next_attempt(self, zone_id: int, rnd: ZoneRound) -> None:
-        if rnd.attempt + 1 > self.config.zcr_election_max_retries:
+        if rnd.attempt + 1 > ZCR_ELECTION_MAX_RETRIES:
             self._give_up(zone_id)
             return
         delay = (
-            self.config.zcr_election_retry_base
+            ZCR_ELECTION_RETRY_BASE
             * (2.0 ** min(rnd.attempt, 4))
             * self._rng.uniform(0.8, 1.2)
         )
@@ -411,7 +411,7 @@ class ElectionCoordinator:
                 },
             )
         mine = self.zcr.my_dist_to_parent.get(zone_id)
-        margin = self.config.zcr_takeover_margin
+        margin = ZCR_TAKEOVER_MARGIN
         if (
             mine is not None
             and rival_parent_rtt is not None

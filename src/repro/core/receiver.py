@@ -8,7 +8,7 @@ State machine per group:
   zone's known ZLC.
 * **Repair Phase** — entered at LDP expiry or on reconstruction.  Incomplete
   receivers keep an armed request timer whose firings either send a NACK
-  (scope-escalating after ``escalation_attempts`` tries per zone) or stay
+  (scope-escalating after ``ESCALATION_ATTEMPTS`` tries per zone) or stay
   suppressed while the zone's speculative queues cover their deficit.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.agent import SharqfecEndpoint
+from repro.core.config import ESCALATION_ATTEMPTS, GIVEUP_FIRES, MAX_BACKOFF_EXPONENT, NACK_SIZE
 from repro.core.pdus import DataPdu, FecPdu, NackPdu
 from repro.core.state import GroupState
 from repro.core.suppression import request_delay
@@ -53,10 +54,7 @@ class SharqfecReceiver(SharqfecEndpoint):
         # §7 future work: adaptive request-timer constants.  Reuses the SRM
         # adaptation machinery seeded from C1/C2; only consulted when
         # ``config.adaptive_timers`` is on.
-        self._adaptive_request = AdaptiveTimerState(
-            self.config.c1, self.config.c2, (0.5, 8.0), (1.0, 8.0),
-            enabled=self.config.adaptive_timers,
-        )
+        self._adaptive_request = AdaptiveTimerState.for_requests(self.config.adaptive_timers)
         self._nacks_heard_per_group: Dict[int, int] = {}
 
     # ------------------------------------------------------------------- data
@@ -187,9 +185,9 @@ class SharqfecReceiver(SharqfecEndpoint):
         distance = self.session.source_one_way(self.source_id)
         if self.config.adaptive_timers:
             lo, hi = self._adaptive_request.window(distance)
-            i = min(max(state.backoff_i, 1), self.config.max_backoff_exponent)
+            i = min(max(state.backoff_i, 1), MAX_BACKOFF_EXPONENT)
             return (2.0 ** i) * self._request_rng.uniform(lo, hi)
-        return request_delay(self.config, self._request_rng, distance, state.backoff_i)
+        return request_delay(self._request_rng, distance, state.backoff_i)
 
     def _is_stuck_authority(self, state: GroupState, zone_id: int) -> bool:
         """True when we are ``zone_id``'s repair authority but cannot serve
@@ -253,7 +251,7 @@ class SharqfecReceiver(SharqfecEndpoint):
         # it.  At the top zone the retries continue at the capped backoff.
         state.stalled_fires += 1
         if (
-            state.stalled_fires >= self.config.giveup_fires
+            state.stalled_fires >= GIVEUP_FIRES
             and state.attempt_zone_index < len(self.zone_ids) - 1
         ):
             state.attempt_zone_index += 1
@@ -274,7 +272,7 @@ class SharqfecReceiver(SharqfecEndpoint):
         pdu = NackPdu(
             src=self.node_id,
             group=self.channels.repair_group(zone_id),
-            size_bytes=self.config.nack_size,
+            size_bytes=NACK_SIZE,
             group_id=state.group_id,
             llc=state.llc,
             highest_seen=state.highest_known,
@@ -290,7 +288,7 @@ class SharqfecReceiver(SharqfecEndpoint):
         state.nack_sent_count += 1
         state.attempts_at_zone += 1
         if (
-            state.attempts_at_zone >= self.config.escalation_attempts
+            state.attempts_at_zone >= ESCALATION_ATTEMPTS
             and state.attempt_zone_index < len(self.zone_ids) - 1
         ):
             state.attempt_zone_index += 1
@@ -330,7 +328,7 @@ class SharqfecReceiver(SharqfecEndpoint):
         )
         if not increased and not authority:
             # A NACK that did not raise the ZLC grows the backoff (§4).
-            state.backoff_i = min(state.backoff_i + 1, self.config.max_backoff_exponent)
+            state.backoff_i = min(state.backoff_i + 1, MAX_BACKOFF_EXPONENT)
         if state.complete:
             return
         timer = self._request_timers.get(state.group_id)

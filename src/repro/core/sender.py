@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.agent import SharqfecEndpoint
+from repro.core.config import PACKET_SIZE
 from repro.core.pdus import DataPdu
 from repro.core.state import GroupState
 
@@ -45,7 +46,7 @@ class SharqfecSender(SharqfecEndpoint):
         pdu = DataPdu(
             src=self.node_id,
             group=self.channels.data_group_id,
-            size_bytes=self.config.packet_size,
+            size_bytes=PACKET_SIZE,
             seq=seq,
             group_id=group_id,
             index=index,

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import (
+    DEFAULT_DISTANCE, RTT_EWMA_KEEP, SESSION_ENTRY_SIZE, SESSION_FAST_COUNT,
+    SESSION_FAST_INTERVAL, SESSION_HEADER_SIZE, SESSION_INTERVAL, SESSION_PEER_TIMEOUT,
+)
 from repro.core.pdus import RttChainEntry, SessionEntry, SessionPdu
 from repro.core.rtt import RttTable
 from repro.scoping.channels import ScopedChannels
@@ -35,19 +38,17 @@ class SessionManager:
         clock: Clock,
         transport: Transport,
         channels: ScopedChannels,
-        config: SharqfecConfig,
         top_zcr: Optional[int] = None,
     ) -> None:
         self.node_id = node_id
         self.clock = clock
         self.transport = transport
         self.channels = channels
-        self.config = config
         self.chain: List[Zone] = channels.hierarchy.chain_for(node_id)
         self._zone_index: Dict[int, int] = {
             zone.zone_id: i for i, zone in enumerate(self.chain)
         }
-        self.rtt = RttTable(node_id, config.rtt_ewma_keep)
+        self.rtt = RttTable(node_id, RTT_EWMA_KEEP)
         # zone_id -> believed ZCR (None when unknown).  The root zone's ZCR
         # is statically the source ("top ZCR", §6.1).
         self.zcr_ids: Dict[int, Optional[int]] = {
@@ -117,16 +118,16 @@ class SessionManager:
             self.zcr_parent_rtt.pop(zid, None)
 
     def _next_interval(self) -> float:
-        if self._messages_sent < self.config.session_fast_count:
-            lo, hi = self.config.session_fast_interval
+        if self._messages_sent < SESSION_FAST_COUNT:
+            lo, hi = SESSION_FAST_INTERVAL
         else:
-            lo, hi = self.config.session_interval
+            lo, hi = SESSION_INTERVAL
         return self._rng.uniform(lo, hi)
 
     def _on_session_timer(self) -> None:
         # Departed members age out of our echo lists (§5's entries carry
         # "time elapsed since the last session message" for this purpose).
-        self.rtt.prune_stale(self.clock.now, self.config.session_peer_timeout)
+        self.rtt.prune_stale(self.clock.now, SESSION_PEER_TIMEOUT)
         for zone in self.participation_zones():
             self._send_session_message(zone)
         self._messages_sent += 1
@@ -172,8 +173,7 @@ class SessionManager:
         pdu = SessionPdu(
             src=self.node_id,
             group=self.channels.session_group(zone.zone_id),
-            size_bytes=self.config.session_header_size
-            + len(entries) * self.config.session_entry_size,
+            size_bytes=SESSION_HEADER_SIZE + len(entries) * SESSION_ENTRY_SIZE,
             zone_id=zone.zone_id,
             timestamp=now,
             zcr_id=zcr if zcr is not None else -1,
@@ -369,7 +369,7 @@ class SessionManager:
         if rtt is None and self.zcr_ids.get(self.chain[-1].zone_id) == source_id:
             rtt = self.rtt_to_zcr(len(self.chain) - 1)
         if rtt is None:
-            return self.config.default_distance
+            return DEFAULT_DISTANCE
         return rtt / 2.0
 
     def peer_one_way(
@@ -380,12 +380,12 @@ class SessionManager:
         """One-way transit estimate to a peer (``d_A,B``), with fallback."""
         rtt = self.estimate_rtt_to(peer, rtt_chain)
         if rtt is None:
-            return self.config.default_distance
+            return DEFAULT_DISTANCE
         return rtt / 2.0
 
     def max_zone_rtt(self, zone_id: int) -> float:
         """Largest known RTT to a peer — the ZCR's 2.5×RTT wait bound (§4)."""
         farthest = self.rtt.max_estimate()
         if farthest is None:
-            return 2.0 * self.config.default_distance
+            return 2.0 * DEFAULT_DISTANCE
         return farthest

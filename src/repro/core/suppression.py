@@ -20,15 +20,10 @@ from __future__ import annotations
 
 import random
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import C1, C2, D1, D2, MAX_BACKOFF_EXPONENT
 
 
-def request_delay(
-    config: SharqfecConfig,
-    rng: random.Random,
-    distance: float,
-    backoff_exponent: int,
-) -> float:
+def request_delay(rng: random.Random, distance: float, backoff_exponent: int) -> float:
     """Draw a request (NACK) suppression delay.
 
     Args:
@@ -36,19 +31,19 @@ def request_delay(
         backoff_exponent: the paper's ``i`` (>= 1).
     """
     d = max(distance, 1e-6)
-    i = min(max(backoff_exponent, 1), config.max_backoff_exponent)
-    lo = config.c1 * d
-    hi = (config.c1 + config.c2) * d
+    i = min(max(backoff_exponent, 1), MAX_BACKOFF_EXPONENT)
+    lo = C1 * d
+    hi = (C1 + C2) * d
     return (2.0 ** i) * rng.uniform(lo, hi)
 
 
-def reply_delay(config: SharqfecConfig, rng: random.Random, distance: float) -> float:
+def reply_delay(rng: random.Random, distance: float) -> float:
     """Draw a reply (repair) suppression delay.
 
     Args:
         distance: one-way transit-time estimate to the NACK sender, seconds.
     """
     d = max(distance, 1e-6)
-    lo = config.d1 * d
-    hi = (config.d1 + config.d2) * d
+    lo = D1 * d
+    hi = (D1 + D2) * d
     return rng.uniform(lo, hi)

@@ -29,7 +29,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import (
+    DEFAULT_DISTANCE, ZCR_CHALLENGE_INTERVAL, ZCR_PDU_SIZE, ZCR_TAKEOVER_MARGIN,
+    ZCR_WATCHDOG_FACTOR,
+)
 from repro.core.election import ElectionCoordinator
 from repro.core.pdus import ZcrChallengePdu, ZcrElectPdu, ZcrResponsePdu, ZcrTakeoverPdu
 from repro.core.session import SessionManager
@@ -43,7 +46,6 @@ class ZcrElection:
         self.session = session
         self.node_id = session.node_id
         self.clock = session.clock
-        self.config = session.config
         self.transport = session.transport
         self.channels = session.channels
         self._rng = self.clock.rng.stream(f"zcr.{self.node_id}")
@@ -135,12 +137,12 @@ class ZcrElection:
         self.coordinator.reset()
 
     def _challenge_interval(self) -> float:
-        lo, hi = self.config.zcr_challenge_interval
+        lo, hi = ZCR_CHALLENGE_INTERVAL
         return self._rng.uniform(lo, hi)
 
     def _watchdog_delay(self) -> float:
-        lo, hi = self.config.zcr_challenge_interval
-        base = self.config.zcr_watchdog_factor * self._rng.uniform(lo, hi)
+        lo, hi = ZCR_CHALLENGE_INTERVAL
+        base = ZCR_WATCHDOG_FACTOR * self._rng.uniform(lo, hi)
         # Small identity-free jitter so simultaneous expiry is unlikely.
         return base + self._rng.uniform(0.0, 0.5)
 
@@ -193,7 +195,7 @@ class ZcrElection:
         pdu = ZcrChallengePdu(
             src=self.node_id,
             group=self.channels.session_group(parent_zone),
-            size_bytes=self.config.zcr_pdu_size,
+            size_bytes=ZCR_PDU_SIZE,
             zone_id=zone_id,
             sent_at=now,
         )
@@ -228,7 +230,7 @@ class ZcrElection:
         pdu = ZcrResponsePdu(
             src=self.node_id,
             group=self.channels.session_group(parent_zone),
-            size_bytes=self.config.zcr_pdu_size,
+            size_bytes=ZCR_PDU_SIZE,
             zone_id=zone_id,
             challenger_id=challenger,
             processing_delay=0.0,
@@ -321,12 +323,12 @@ class ZcrElection:
             # measurements re-evaluate without waiting a challenge cycle.
             old = self.session.zcr_parent_rtt.get(zone_id)
             self.session.zcr_parent_rtt[zone_id] = 2.0 * dist
-            if old is None or abs(old - 2.0 * dist) > 2.0 * self.config.zcr_takeover_margin:
+            if old is None or abs(old - 2.0 * dist) > 2.0 * ZCR_TAKEOVER_MARGIN:
                 self._send_takeover(zone_id)
             return
         incumbent = self.session.zcr_ids.get(zone_id)
         incumbent_rtt = self.session.zcr_parent_rtt.get(zone_id)
-        margin = self.config.zcr_takeover_margin
+        margin = ZCR_TAKEOVER_MARGIN
         if incumbent is None or zone_id in self._suspect_dead or (
             incumbent_rtt is not None and 2.0 * dist < incumbent_rtt - 2.0 * margin
         ):
@@ -355,7 +357,7 @@ class ZcrElection:
         """
         if self.my_dist_to_parent.get(zone_id) is None:
             self.my_dist_to_parent[zone_id] = (
-                dist if dist is not None else self.config.default_distance
+                dist if dist is not None else DEFAULT_DISTANCE
             )
         self._send_takeover(zone_id, epoch=epoch)
 
@@ -400,7 +402,7 @@ class ZcrElection:
             pdu = ZcrTakeoverPdu(
                 src=self.node_id,
                 group=self.channels.session_group(target_zone),
-                size_bytes=self.config.zcr_pdu_size,
+                size_bytes=ZCR_PDU_SIZE,
                 zone_id=zone_id,
                 dist_to_parent=dist,
                 epoch=epoch,
@@ -414,7 +416,7 @@ class ZcrElection:
             # Heard on the parent channel while not a member of the child
             # zone: nothing to update (we track only our own chain).
             return
-        margin = self.config.zcr_takeover_margin
+        margin = ZCR_TAKEOVER_MARGIN
         mine = self.my_dist_to_parent.get(zone_id)
         takeover_timer = self._takeover_timers.get(zone_id)
         if takeover_timer is not None and takeover_timer.running:

@@ -84,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a progress/throughput line to stderr every SECONDS of "
         "simulated time",
     )
-    parser.add_argument(
-        "--zone-traffic",
-        action="store_true",
-        help="with --metrics-out: also aggregate traffic/drop histograms "
-        "per zone (adds a forwarding-path listener)",
-    )
     return parser
 
 
@@ -100,7 +94,6 @@ def _observability_options(args) -> Optional["ObservabilityOptions"]:
         metrics_dir=args.metrics_out,
         trace_dir=args.trace_out,
         progress_interval=args.progress,
-        zone_traffic=args.zone_traffic,
     )
     return options if options.active else None
 
@@ -157,7 +150,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment == "national":
         if _rejects(
             args,
-            ("progress", "zone_traffic", "csv"),
+            ("progress", "csv"),
             "does not apply to the 'national' experiment",
         ):
             return 2

@@ -56,9 +56,6 @@ class ObservabilityOptions:
     trace_dir: Optional[str] = None
     progress_interval: Optional[float] = None
     progress_stream: Optional[object] = None
-    #: Aggregate pkt.* events into per-zone histograms (costs a listener on
-    #: the forwarding path; per-node series come free via TrafficMonitor).
-    zone_traffic: bool = False
 
     @property
     def active(self) -> bool:
@@ -225,7 +222,7 @@ def run_traffic(
     )
     wall_start = time.perf_counter()
     sim = Simulator(seed=seed)
-    world = World(spec, sim, observe=observed, zone_traffic=observed and obs.zone_traffic)
+    world = World(spec, sim, observe=observed)
     proto = world.protocol
     reporter: Optional[ProgressReporter] = None
     if observed and obs.progress_interval is not None:
@@ -258,13 +255,15 @@ def run_traffic(
             reporter.stop()
         completion = proto.completion_fraction()
         nacks = proto.total_nacks_sent()
+        # Model events only: the reporter's own ticks fire on the same clock.
+        events = sim.events_fired - (len(reporter.lines) if reporter is not None else 0)
         if world.observer is not None:
             world.observer.detach()
             record = run_record(
                 spec,
                 completion=completion,
                 nacks_sent=nacks,
-                events=sim.events_fired,
+                events=events,
                 drops=world.monitor.drops,
                 receivers=world.receivers,
                 source=world.source,
@@ -287,7 +286,7 @@ def run_traffic(
         run_end=spec.run_end,
         completion=completion,
         nacks_sent=nacks,
-        events=sim.events_fired,
+        events=events,
         wall_seconds=time.perf_counter() - wall_start,
         seed=seed,
     )

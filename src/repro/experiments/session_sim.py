@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Dict, List, Optional
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import NACK_SIZE, SharqfecConfig
 from repro.core.pdus import NackPdu
 from repro.core.protocol import SharqfecProtocol
 from repro.errors import ConfigError
@@ -140,7 +140,7 @@ def run_rtt_experiment(
         pdu = NackPdu(
             src=sender,
             group=fake_group,
-            size_bytes=config.nack_size,
+            size_bytes=NACK_SIZE,
             group_id=0,
             llc=0,
             highest_seen=0,

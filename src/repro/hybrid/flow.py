@@ -44,6 +44,8 @@ LDP timer would have fired).
 
 from __future__ import annotations
 
+from repro.core.config import PACKET_SIZE
+
 
 class FlowDataEngine:
     """Flow-model replacement for the sender's per-packet CBR emission."""
@@ -83,7 +85,7 @@ class FlowDataEngine:
         now = self.sim.now
         ipt = config.inter_packet_interval
         k = config.group_k(g)
-        size = config.packet_size
+        size = PACKET_SIZE
         t0 = data_start + g * config.group_size * ipt  # emit time of index 0
         full_mask = (1 << k) - 1
         observers = [

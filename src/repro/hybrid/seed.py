@@ -53,6 +53,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, FrozenSet, Iterable, Optional, Set
 
+from repro.core.config import ZCR_TAKEOVER_MARGIN
 from repro.core.election import candidate_key
 
 
@@ -121,7 +122,6 @@ def build_seed_plan(
     hierarchy,
     source_id: int,
     members: Set[int],
-    config,
     static_zcrs: Optional[Dict[int, int]] = None,
     excluded: FrozenSet[int] = frozenset(),
 ) -> SeedPlan:
@@ -139,7 +139,7 @@ def build_seed_plan(
     adjacency = network._converged_adjacency
     plan = SeedPlan()
     static = static_zcrs or {}
-    quantum = config.zcr_takeover_margin
+    quantum = ZCR_TAKEOVER_MARGIN
     smallest: Dict[int, Set[int]] = {}
     for m in members:
         smallest.setdefault(hierarchy.smallest_zone(m).zone_id, set()).add(m)
@@ -312,7 +312,6 @@ def seed_converged_state(
         protocol.hierarchy,
         protocol.source_id,
         members,
-        protocol.config,
         static_zcrs,
         excluded,
     )

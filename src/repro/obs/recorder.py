@@ -11,8 +11,6 @@ any payload) — and turns the emitted records into:
   ``sharqfec.inject`` / ``srm.repair`` / ``srm.nack`` categories);
 * per-kind fault counters (``fault.<kind>``) and routing-reconvergence
   counts from the fault injector and the network;
-* optionally, per-zone per-kind packet traffic histograms from the
-  forwarding engine's ``pkt.*`` stream (pass ``zone_of``);
 * optionally, a structured in-memory trace (``capture_trace=True``) whose
   records the JSONL exporter serializes verbatim.
 
@@ -123,19 +121,14 @@ class RunObserver:
         sim,
         *,
         bin_width: float = 0.1,
-        zone_of: Optional[Dict[int, int]] = None,
         capture_trace: bool = False,
         global_events: bool = True,
     ) -> None:
         """
         Args:
             sim: the :class:`~repro.sim.scheduler.Simulator` to observe.
-            bin_width: interval width for the per-zone traffic histograms.
-            zone_of: optional node→zone map; when given, ``pkt.recv`` /
-                ``pkt.drop`` events are additionally aggregated into
-                per-(zone, kind) time histograms.  This puts a listener on
-                the forwarding hot path, so leave it None for runs where
-                per-node series (the :class:`TrafficMonitor`) suffice.
+            bin_width: interval width for the per-interval NACK / repair
+                histograms.
             capture_trace: keep every record of the
                 :func:`default_trace_categories` in :attr:`trace_records`
                 for export.
@@ -149,7 +142,6 @@ class RunObserver:
         self.tracer: Tracer = sim.tracer
         self.registry = MetricsRegistry()
         self.bin_width = float(bin_width)
-        self.zone_of = zone_of
         self.capture_trace = capture_trace
         self.global_events = global_events
         #: Captured records; listeners hold its ``append``, so it is only
@@ -178,11 +170,6 @@ class RunObserver:
             for category in fault_categories():
                 self._subscribe(category, self._on_fault, capture)
             self._subscribe("net.reconverge", self._on_reconverge, capture)
-        if self.zone_of is not None:
-            self._subscribe("pkt.recv", self._zone_listener("zone_traffic"), capture)
-            on_drop = self._zone_listener("zone_drops")
-            for category in ("pkt.drop", "pkt.nodedrop", "pkt.qdrop"):
-                self._subscribe(category, on_drop, capture)
         if capture is not None:
             already = {category for category, _ in self._subscriptions}
             if not self.global_events:
@@ -275,26 +262,6 @@ class RunObserver:
 
     def _on_reconverge(self, record: TraceRecord) -> None:
         self.registry.counter("reconvergences").inc()
-
-    def _zone_listener(self, family: str) -> Callable[[TraceRecord], None]:
-        """A listener that bins ``pkt.*`` records into ``family{zone, kind}``."""
-        zone_of = self.zone_of.get
-        histogram, bin_width = self.registry.histogram, self.bin_width
-        handles: Dict[Tuple[int, str], TimeHistogram] = {}
-
-        def listener(record: TraceRecord) -> None:
-            zone = zone_of(record.node)
-            if zone is None:
-                return
-            kind = getattr(record.detail, "kind", "?")
-            hist = handles.get((zone, kind))
-            if hist is None:
-                hist = handles[zone, kind] = histogram(
-                    family, bin_width, zone=zone, kind=kind
-                )
-            hist.observe(record.time)
-
-        return listener
 
     # ---------------------------------------------------------------- queries
 

@@ -56,15 +56,14 @@ DEFAULT_DRAIN = 10.0
 
 
 def variant_config(name: str, n_packets: int) -> SharqfecConfig:
-    """Build the :class:`SharqfecConfig` for a paper-style variant name."""
-    if name == "SHARQFEC":
-        return SharqfecConfig(n_packets=n_packets)
-    if not (name.startswith("SHARQFEC(") and name.endswith(")")):
-        raise ConfigError(f"unknown variant {name!r}; expected one of {VARIANTS}")
-    flags = {f.strip() for f in name[len("SHARQFEC(") : -1].split(",") if f.strip()}
-    unknown = flags - {"ns", "ni", "so"}
-    if unknown:
-        raise ConfigError(f"unknown variant flags {sorted(unknown)} in {name!r}")
+    """Build the :class:`SharqfecConfig` for a paper-style variant name.
+
+    Only the exact names in :data:`VARIANTS` are accepted: a run is keyed
+    by its slug, so two spellings of one variant would share export files.
+    """
+    if name == "SRM" or name not in VARIANTS:
+        raise ConfigError(f"unknown variant {name!r}; expected one of {VARIANTS[1:]}")
+    flags = name[len("SHARQFEC"):].strip("()").split(",")
     return SharqfecConfig(
         n_packets=n_packets,
         scoping="ns" not in flags,
@@ -189,8 +188,7 @@ class World:
     own stream, real agents exist for the shard's nodes only, and only
     shard 0 observes run-global events (every shard replays the fault plan).
     ``observe=False`` attaches no :class:`RunObserver` (``self.observer`` is
-    ``None`` and the forwarding path pays nothing); ``zone_traffic`` adds
-    per-zone histograms at the cost of a listener on that path.
+    ``None`` and the forwarding path pays nothing).
     """
 
     def __init__(
@@ -200,7 +198,6 @@ class World:
         shard=None,
         on_boundary: Optional[Callable[[float, int, object], None]] = None,
         observe: bool = True,
-        zone_traffic: bool = False,
     ) -> None:
         self.topology = topo = build_topology(spec, sim)
         self.network = topo.network
@@ -212,16 +209,9 @@ class World:
         self.network.add_observer(self.monitor)
         self.observer: Optional[RunObserver] = None
         if observe:
-            zone_of = None
-            if zone_traffic:
-                zone_of = {
-                    node: topo.hierarchy.smallest_zone(node).zone_id
-                    for node in topo.hierarchy.members()
-                }
             self.observer = RunObserver(
                 sim,
                 bin_width=spec.bin_width,
-                zone_of=zone_of,
                 capture_trace=spec.capture_trace,
                 global_events=shard is None or shard.index == 0,
             ).attach()

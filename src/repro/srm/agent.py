@@ -19,11 +19,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
+from repro.core.config import (
+    DEFAULT_DISTANCE, MAX_BACKOFF_EXPONENT, PACKET_SIZE, RTT_EWMA_KEEP, SESSION_ENTRY_SIZE,
+    SESSION_FAST_COUNT, SESSION_FAST_INTERVAL, SESSION_INTERVAL,
+)
 from repro.core.rtt import RttTable
 from repro.net.packet import Packet
 from repro.sim.timers import Timer
 from repro.transport.api import Clock, Transport
-from repro.srm.config import SrmConfig
+from repro.srm.config import NACK_SIZE, SESSION_HEADER_SIZE, SrmConfig
 from repro.srm.pdus import (
     SrmDataPdu,
     SrmRepairPdu,
@@ -72,9 +76,9 @@ class SrmAgent:
         self.config = config
         self.source_id = source_id
         self.is_source = is_source
-        self.rtt = RttTable(node_id, config.rtt_ewma_keep)
-        self.request_timer_state = AdaptiveTimerState.for_requests(config)
-        self.reply_timer_state = AdaptiveTimerState.for_replies(config)
+        self.rtt = RttTable(node_id, RTT_EWMA_KEEP)
+        self.request_timer_state = AdaptiveTimerState.for_requests(config.adaptive)
+        self.reply_timer_state = AdaptiveTimerState.for_replies(config.adaptive)
         self.received: Set[int] = set()
         self.highest_seen = -1
         self.losses: Dict[int, _LossState] = {}
@@ -153,7 +157,7 @@ class SrmAgent:
         self.received.add(seq)
         if seq > self.highest_seen:
             self.highest_seen = seq
-        pdu = SrmDataPdu(self.node_id, self.data_group, self.config.packet_size, seq)
+        pdu = SrmDataPdu(self.node_id, self.data_group, PACKET_SIZE, seq)
         self.transport.multicast(self.node_id, pdu)
 
     # ---------------------------------------------------------------- dispatch
@@ -217,21 +221,21 @@ class SrmAgent:
 
     def _source_distance(self) -> float:
         d = self.rtt.one_way(self.source_id)
-        return d if d is not None else self.config.default_distance
+        return d if d is not None else DEFAULT_DISTANCE
 
     def _request_delay(self, loss: _LossState) -> float:
         lo, hi = self.request_timer_state.window(self._source_distance())
-        scale = 2.0 ** min(loss.backoff, self.config.max_backoff_exponent)
+        scale = 2.0 ** min(loss.backoff, MAX_BACKOFF_EXPONENT)
         return scale * self._rng.uniform(lo, hi)
 
     def _on_request_timer(self, seq: int) -> None:
         loss = self.losses.get(seq)
         if loss is None:
             return
-        pdu = SrmRequestPdu(self.node_id, self.data_group, self.config.nack_size, seq)
+        pdu = SrmRequestPdu(self.node_id, self.data_group, NACK_SIZE, seq)
         self.nacks_sent += 1
         loss.own_requests += 1
-        loss.backoff = min(loss.backoff + 1, self.config.max_backoff_exponent)
+        loss.backoff = min(loss.backoff + 1, MAX_BACKOFF_EXPONENT)
         tracer = self.clock.tracer
         if tracer.wants("srm.nack"):
             tracer.emit(self.clock.now, "srm.nack", self.node_id, {"seq": seq})
@@ -244,7 +248,7 @@ class SrmAgent:
         if loss is not None:
             # Suppression: someone else asked first — back off our own ask.
             loss.requests_seen += 1
-            loss.backoff = min(loss.backoff + 1, self.config.max_backoff_exponent)
+            loss.backoff = min(loss.backoff + 1, MAX_BACKOFF_EXPONENT)
             loss.timer.restart(self._request_delay(loss))
             return
         if seq not in self.received:
@@ -262,7 +266,7 @@ class SrmAgent:
             self._repair_timers[seq] = timer
         distance = self.rtt.one_way(pdu.src)
         if distance is None:
-            distance = self.config.default_distance
+            distance = DEFAULT_DISTANCE
         lo, hi = self.reply_timer_state.window(distance)
         timer.restart(self._rng.uniform(lo, hi))
 
@@ -271,7 +275,7 @@ class SrmAgent:
     def _on_repair_timer(self, seq: int) -> None:
         if seq not in self.received:
             return
-        pdu = SrmRepairPdu(self.node_id, self.data_group, self.config.packet_size, seq)
+        pdu = SrmRepairPdu(self.node_id, self.data_group, PACKET_SIZE, seq)
         self.repairs_sent += 1
         self._repairs_sent_for.add(seq)
         tracer = self.clock.tracer
@@ -293,10 +297,10 @@ class SrmAgent:
     # ---------------------------------------------------------------- session
 
     def _session_interval(self) -> float:
-        if self._sessions_sent < self.config.session_fast_count:
-            lo, hi = self.config.session_fast_interval
+        if self._sessions_sent < SESSION_FAST_COUNT:
+            lo, hi = SESSION_FAST_INTERVAL
         else:
-            lo, hi = self.config.session_interval
+            lo, hi = SESSION_INTERVAL
         return self._rng.uniform(lo, hi)
 
     def _on_session_timer(self) -> None:
@@ -309,8 +313,7 @@ class SrmAgent:
         pdu = SrmSessionPdu(
             src=self.node_id,
             group=self.session_group,
-            size_bytes=self.config.session_header_size
-            + len(entries) * self.config.session_entry_size,
+            size_bytes=SESSION_HEADER_SIZE + len(entries) * SESSION_ENTRY_SIZE,
             timestamp=now,
             highest_seq=self.highest_seen,
             entries=entries,

@@ -1,64 +1,34 @@
-"""SRM configuration."""
+"""SRM configuration.
+
+The stream, timer and session values are SHARQFEC's (:mod:`repro.core.config`):
+§6.2 runs both protocols with the same stream, and the SRM timer constants are
+the ones SHARQFEC's suppression timers take over.  Only the wire sizes differ.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
+from repro.core.config import DATA_RATE_BPS, PACKET_SIZE
 from repro.errors import ConfigError
+
+NACK_SIZE = 32
+SESSION_HEADER_SIZE = 32
 
 
 @dataclass
 class SrmConfig:
-    """Constants for the SRM baseline (defaults per Floyd et al. and §6.2)."""
+    """What an SRM run varies (defaults per Floyd et al. and §6.2)."""
 
-    # Data stream — identical to the SHARQFEC runs for fair comparison.
-    packet_size: int = 1000
-    data_rate_bps: float = 800e3
     n_packets: int = 1024
-
-    # Initial request/repair timer multipliers (adapted at runtime when
-    # ``adaptive`` is on).
-    c1: float = 2.0
-    c2: float = 2.0
-    d1: float = 1.0
-    d2: float = 1.0
+    # Adapt the request/repair timer multipliers at runtime.
     adaptive: bool = True
 
-    # Adaptive clamps (the SRM paper bounds the adapted constants).
-    c1_bounds: Tuple[float, float] = (0.5, 8.0)
-    c2_bounds: Tuple[float, float] = (1.0, 8.0)
-    d1_bounds: Tuple[float, float] = (0.5, 8.0)
-    d2_bounds: Tuple[float, float] = (1.0, 8.0)
-
-    # Session messaging (full mesh).
-    session_interval: Tuple[float, float] = (0.9, 1.1)
-    session_fast_interval: Tuple[float, float] = (0.05, 0.25)
-    session_fast_count: int = 3
-    rtt_ewma_keep: float = 0.75
-
-    # Request back-off cap.
-    max_backoff_exponent: int = 8
-    # Fallback one-way distance before session convergence.
-    default_distance: float = 0.050
-
-    # Wire sizes.
-    nack_size: int = 32
-    session_entry_size: int = 12
-    session_header_size: int = 32
-
     def __post_init__(self) -> None:
-        if self.packet_size <= 0 or self.data_rate_bps <= 0 or self.n_packets < 1:
-            raise ConfigError("invalid stream parameters")
-        for name in ("c1", "c2", "d1", "d2"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        for name in ("c1_bounds", "c2_bounds", "d1_bounds", "d2_bounds"):
-            lo, hi = getattr(self, name)
-            if not 0 <= lo <= hi:
-                raise ConfigError(f"{name} must satisfy 0 <= lo <= hi")
+        if self.n_packets < 1:
+            raise ConfigError("n_packets must be >= 1")
 
     @property
     def inter_packet_interval(self) -> float:
         """Seconds between successive CBR data packets."""
-        return self.packet_size * 8.0 / self.data_rate_bps
+        return PACKET_SIZE * 8.0 / DATA_RATE_BPS

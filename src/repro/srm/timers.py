@@ -11,7 +11,7 @@ to its peers', then nudges its timer constants:
 
 The published pseudocode keys off exact averages of duplicates and delay
 ratios; our reconstruction keeps the same control direction and the same
-EWMA smoothing, with bounds from :class:`~repro.srm.config.SrmConfig`.
+EWMA smoothing, with bounds from :mod:`repro.core.config`.
 This is a documented approximation (see DESIGN.md): the original constants
 are tuned to ns-1 details that do not transfer exactly.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.srm.config import SrmConfig
+from repro.core.config import C1, C1_BOUNDS, C2, C2_BOUNDS, D1, D1_BOUNDS, D2, D2_BOUNDS
 
 
 class AdaptiveTimerState:
@@ -79,11 +79,11 @@ class AdaptiveTimerState:
         return self.start * d, (self.start + self.width) * d
 
     @classmethod
-    def for_requests(cls, config: SrmConfig) -> "AdaptiveTimerState":
+    def for_requests(cls, enabled: bool) -> "AdaptiveTimerState":
         """Request-timer state seeded from C1/C2."""
-        return cls(config.c1, config.c2, config.c1_bounds, config.c2_bounds, config.adaptive)
+        return cls(C1, C2, C1_BOUNDS, C2_BOUNDS, enabled)
 
     @classmethod
-    def for_replies(cls, config: SrmConfig) -> "AdaptiveTimerState":
+    def for_replies(cls, enabled: bool) -> "AdaptiveTimerState":
         """Reply-timer state seeded from D1/D2."""
-        return cls(config.d1, config.d2, config.d1_bounds, config.d2_bounds, config.adaptive)
+        return cls(D1, D2, D1_BOUNDS, D2_BOUNDS, enabled)

@@ -108,6 +108,8 @@ def test_grid_enumeration_order_and_size():
         ({"scenarios": [{"name": "No Spaces"}]}, "scenario name"),
         ({"scenarios": [{"faults": []}]}, "with a 'name'"),
         ({"scenarios": [{"name": "a", "typo": 1}]}, "unknown keys"),
+        # Two spellings of one variant would share a run slug and its files.
+        ({"protocols": ["SHARQFEC", "SHARQFEC()"]}, "bad protocol"),
     ],
 )
 def test_validation_rejects_bad_specs(mutation, match):

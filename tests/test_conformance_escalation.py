@@ -7,7 +7,7 @@ next-larger zone (§4), where the source answers.
 
 from __future__ import annotations
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import ESCALATION_ATTEMPTS, SharqfecConfig
 from repro.core.pdus import FecPdu, NackPdu
 from repro.core.protocol import SharqfecProtocol
 from repro.net.network import Network
@@ -50,7 +50,7 @@ def test_zone_wide_loss_escalates_to_root():
     assert nack_zones[0] == zone.zone_id
     assert root.zone_id in nack_zones
     zone_attempts = sum(1 for z in nack_zones if z == zone.zone_id)
-    assert zone_attempts >= cfg.escalation_attempts
+    assert zone_attempts >= ESCALATION_ATTEMPTS
     # Only the source could repair, at root scope.
     assert fec_sources, "a repair must have flowed"
     assert all(src == 0 for src, _ in fec_sources)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import PACKET_SIZE, SharqfecConfig
 from repro.core.pdus import DataPdu, FecPdu, NackPdu
 from repro.core.protocol import SharqfecProtocol
 from repro.net.network import Network
@@ -39,7 +39,7 @@ def build(seed=1, **cfg_kwargs):
 
 def data_pdu(proto, seq, cfg):
     return DataPdu(
-        src=0, group=proto.channels.data_group_id, size_bytes=cfg.packet_size,
+        src=0, group=proto.channels.data_group_id, size_bytes=PACKET_SIZE,
         seq=seq, group_id=seq // cfg.group_size, index=seq % cfg.group_size,
     )
 

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SharqfecConfig
+from repro.core import config as constants
+from repro.core.config import C1, C2, D1, D2, PACKET_SIZE, SharqfecConfig
 from repro.errors import ConfigError
+from repro.scenario import VARIANTS, variant_config
 
 
 def test_paper_defaults():
     cfg = SharqfecConfig()
     assert cfg.group_size == 16
-    assert cfg.packet_size == 1000
+    assert PACKET_SIZE == 1000
     assert cfg.data_rate_bps == 800e3
     assert cfg.n_packets == 1024
-    assert (cfg.c1, cfg.c2, cfg.d1, cfg.d2) == (2.0, 2.0, 1.0, 1.0)
+    assert (C1, C2, D1, D2) == (2.0, 2.0, 1.0, 1.0)
     assert cfg.ewma_keep == 0.75
 
 
@@ -47,32 +49,41 @@ def test_repair_spacing_is_half_ipt():
 
 
 def test_variant_flags_and_names():
-    cfg = SharqfecConfig()
-    assert cfg.variant_name() == "SHARQFEC"
-    ns = cfg.variant(scoping=False)
-    assert ns.variant_name() == "SHARQFEC(ns)"
-    nsni = cfg.variant(scoping=False, injection=False)
-    assert nsni.variant_name() == "SHARQFEC(ns,ni)"
-    ecsrm = cfg.ecsrm()
+    assert SharqfecConfig().variant_name() == "SHARQFEC"
+    assert SharqfecConfig(scoping=False).variant_name() == "SHARQFEC(ns)"
+    ecsrm = SharqfecConfig(scoping=False, injection=False, sender_only=True)
     assert ecsrm.variant_name() == "SHARQFEC(ns,ni,so)"
-    assert not ecsrm.scoping and not ecsrm.injection and ecsrm.sender_only
-    # The original is untouched.
-    assert cfg.scoping and cfg.injection and not cfg.sender_only
+    # Every name a run may carry round-trips through its config.
+    for name in VARIANTS[1:]:
+        assert variant_config(name, 64).variant_name() == name
+
+
+def test_constants_keep_the_invariants_the_protocol_relies_on():
+    # A live ZCR is only guaranteed to speak once per session interval, so
+    # the failure detector must wait longer than its upper bound.
+    assert constants.ZCR_LIVENESS_TIMEOUT > constants.SESSION_INTERVAL[1]
+    for lo, hi in (
+        constants.SESSION_INTERVAL,
+        constants.SESSION_FAST_INTERVAL,
+        constants.ZCR_CHALLENGE_INTERVAL,
+    ):
+        assert 0 < lo <= hi
+    for keep in (constants.RTT_EWMA_KEEP, SharqfecConfig().ewma_keep):
+        assert 0.0 <= keep < 1.0
+    for lo, hi in (
+        constants.C1_BOUNDS, constants.C2_BOUNDS, constants.D1_BOUNDS, constants.D2_BOUNDS,
+    ):
+        assert 0 <= lo <= hi
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"group_size": 0},
-        {"packet_size": 0},
         {"data_rate_bps": 0},
         {"n_packets": 0},
         {"ewma_keep": 1.0},
         {"ewma_keep": -0.1},
-        {"c1": -1},
-        {"escalation_attempts": 0},
-        {"session_interval": (0.0, 1.0)},
-        {"session_interval": (2.0, 1.0)},
     ],
 )
 def test_invalid_configs_rejected(kwargs):

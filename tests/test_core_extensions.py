@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import C1, C2, SharqfecConfig
 from repro.core.protocol import SharqfecProtocol
 from repro.errors import ConfigError
 from repro.net.network import Network
@@ -85,8 +85,7 @@ def test_adaptive_timers_move_constants():
     moved = sum(
         1
         for r in proto.receivers.values()
-        if (r._adaptive_request.start, r._adaptive_request.width)
-        != (cfg.c1, cfg.c2)
+        if (r._adaptive_request.start, r._adaptive_request.width) != (C1, C2)
     )
     assert moved > 0, "at least some receivers should have adapted"
 
@@ -101,10 +100,7 @@ def test_fixed_timers_never_move():
     proto.start(1.0, 6.0)
     sim.run(until=40.0)
     for r in proto.receivers.values():
-        assert (r._adaptive_request.start, r._adaptive_request.width) == (
-            cfg.c1,
-            cfg.c2,
-        )
+        assert (r._adaptive_request.start, r._adaptive_request.width) == (C1, C2)
 
 
 # -------------------------------------------------------------- static ZCRs

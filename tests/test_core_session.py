@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import DEFAULT_DISTANCE, SharqfecConfig
 from repro.core.pdus import RttChainEntry, SessionEntry, SessionPdu
 from repro.core.protocol import SharqfecProtocol
 from repro.core.session import SessionManager
@@ -94,8 +94,7 @@ def test_indirect_estimate_three_legs():
     za = h.add_zone(root.zone_id, {2, 3}, name="ZA")
     zb = h.add_zone(root.zone_id, {4, 5}, name="ZB")
     channels = ScopedChannels(net, h)
-    config = SharqfecConfig(n_packets=16)
-    session = SessionManager(3, sim, net, channels, config, top_zcr=0)
+    session = SessionManager(3, sim, net, channels, top_zcr=0)
     # Hand-fill node 3's state: ZCR(ZA) = 2 at RTT 0.04 from us; ZCR(ZA)
     # advertises RTT 0.10 to node 4 (= ZCR(ZB), a parent-zone peer).
     session.zcr_ids[za.zone_id] = 2
@@ -118,7 +117,7 @@ def test_indirect_estimate_shared_zcr():
     root = h.add_root({0, 1, 2, 3}, name="Z0")
     za = h.add_zone(root.zone_id, {2, 3}, name="ZA")
     channels = ScopedChannels(net, h)
-    session = SessionManager(2, sim, net, channels, SharqfecConfig(), top_zcr=0)
+    session = SessionManager(2, sim, net, channels, top_zcr=0)
     session.zcr_ids[za.zone_id] = 3
     session.rtt.observe(3, 0.02)
     chain = (RttChainEntry(za.zone_id, 3, 0.05),)
@@ -134,7 +133,7 @@ def test_direct_estimate_preferred_over_chain():
     h = ZoneHierarchy()
     h.add_root({0, 1}, name="Z0")
     channels = ScopedChannels(net, h)
-    session = SessionManager(0, sim, net, channels, SharqfecConfig(), top_zcr=0)
+    session = SessionManager(0, sim, net, channels, top_zcr=0)
     session.rtt.observe(1, 0.123)
     chain = (RttChainEntry(h.root.zone_id, 0, 0.9),)
     assert session.estimate_rtt_to(1, chain) == pytest.approx(0.123)
@@ -148,7 +147,7 @@ def test_estimate_to_self_is_zero():
     h = ZoneHierarchy()
     h.add_root({0, 1})
     channels = ScopedChannels(net, h)
-    session = SessionManager(1, sim, net, channels, SharqfecConfig(), top_zcr=0)
+    session = SessionManager(1, sim, net, channels, top_zcr=0)
     assert session.estimate_rtt_to(1) == 0.0
 
 
@@ -160,9 +159,8 @@ def test_source_one_way_falls_back_to_default():
     h = ZoneHierarchy()
     h.add_root({0, 1})
     channels = ScopedChannels(net, h)
-    config = SharqfecConfig()
-    session = SessionManager(1, sim, net, channels, config, top_zcr=0)
-    assert session.source_one_way(0) == config.default_distance
+    session = SessionManager(1, sim, net, channels, top_zcr=0)
+    assert session.source_one_way(0) == DEFAULT_DISTANCE
 
 
 def test_figure10_state_reduction():

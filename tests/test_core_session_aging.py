@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import SESSION_ENTRY_SIZE, SESSION_HEADER_SIZE, SharqfecConfig
 from repro.core.pdus import SessionPdu
 from repro.core.protocol import SharqfecProtocol
 from repro.core.rtt import RttTable
@@ -77,7 +77,6 @@ def test_session_message_size_tracks_entries():
 
     net.multicast = spy
     sim.run(until=6.0)
-    cfg = proto.config
     for pdu in observed:
-        expected = cfg.session_header_size + len(pdu.entries) * cfg.session_entry_size
+        expected = SESSION_HEADER_SIZE + len(pdu.entries) * SESSION_ENTRY_SIZE
         assert pdu.size_bytes == expected

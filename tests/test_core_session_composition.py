@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SharqfecConfig
+from repro.core.config import DEFAULT_DISTANCE
 from repro.core.pdus import SessionEntry, SessionPdu
 from repro.core.session import SessionManager
 from repro.net.network import Network
@@ -29,7 +29,7 @@ def three_level_session(node=5):
     zb = h.add_zone(root.zone_id, {2, 3, 4, 5}, name="ZB")
     zc = h.add_zone(zb.zone_id, {4, 5}, name="ZC")
     channels = ScopedChannels(net, h)
-    session = SessionManager(node, sim, net, channels, SharqfecConfig(), top_zcr=0)
+    session = SessionManager(node, sim, net, channels, top_zcr=0)
     return sim, net, h, channels, session, (root, zb, zc)
 
 
@@ -161,10 +161,7 @@ def test_gossip_same_epoch_closer_wins():
 
 def test_max_zone_rtt_defaults_without_peers():
     sim, net, h, channels, session, zones = three_level_session()
-    cfg = session.config
-    assert session.max_zone_rtt(zones[2].zone_id) == pytest.approx(
-        2 * cfg.default_distance
-    )
+    assert session.max_zone_rtt(zones[2].zone_id) == pytest.approx(2 * DEFAULT_DISTANCE)
     session.rtt.observe(4, 0.03)
     session.rtt.observe(2, 0.11)
     assert session.max_zone_rtt(zones[2].zone_id) == pytest.approx(0.11)

@@ -28,10 +28,13 @@ def test_variant_config_parsing():
     assert not cfg.scoping and not cfg.injection and cfg.sender_only
     cfg = variant_config("SHARQFEC(ni)", 64)
     assert cfg.scoping and not cfg.injection
-    with pytest.raises(ConfigError):
-        variant_config("SHARQFEC(xyz)", 64)
-    with pytest.raises(ConfigError):
-        variant_config("TCP", 64)
+    # Only the exact names: an alias would share its twin's run slug.
+    for name in (
+        "SHARQFEC(xyz)", "TCP", "SRM", "SHARQFEC()", "SHARQFEC(ni,ns)",
+        "SHARQFEC(ns, ni)", "SHARQFEC(ns,ns)", "SHARQFEC(so)",
+    ):
+        with pytest.raises(ConfigError):
+            variant_config(name, 64)
 
 
 def test_run_traffic_sharqfec_small():
@@ -144,7 +147,6 @@ def test_cli_analytic_figure(capsys):
     "argv",
     [
         ["national", "--progress", "1"],
-        ["national", "--zone-traffic"],
         ["national", "--csv", "out"],
         ["fig8", "--fidelity", "hybrid"],
         ["fig8", "--regions", "2"],

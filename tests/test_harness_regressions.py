@@ -9,12 +9,14 @@ Each test fails on the pre-fix harness:
 * ``observe_runs`` mutated a module global, racing under concurrency;
 * wall-clock used non-monotonic ``time.time()``;
 * ``load_metrics`` silently guessed a missing ``bin_width`` and
-  ``default_packets`` leaked a bare ``ValueError``.
+  ``default_packets`` leaked a bare ``ValueError``;
+* ``--progress`` counted its own ticks in the run's event total.
 """
 
 from __future__ import annotations
 
 import inspect
+import io
 import json
 import os
 import threading
@@ -97,6 +99,22 @@ def test_failed_invariant_still_detaches_stops_and_exports(tmp_path, monkeypatch
     assert "InvariantViolation" in run_record["error"]
     # The run itself was observed: real traffic records made it out.
     assert any(r.get("record") == "traffic" for r in records)
+
+
+def test_progress_reporting_leaves_the_run_record_unchanged(tmp_path):
+    results = {}
+    for progress in (None, 1.0):
+        options = ObservabilityOptions(
+            metrics_dir=str(tmp_path / f"progress_{progress}"),
+            progress_interval=progress,
+            progress_stream=io.StringIO(),
+        )
+        with observe_runs(options):
+            result = run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=1, drain=4.0)
+        slug = run_slug("SHARQFEC", N_PACKETS, 1, drain=4.0)
+        with open(os.path.join(options.metrics_dir, f"{slug}.metrics.jsonl"), "rb") as fh:
+            results[progress] = (result.events, fh.read())
+    assert results[1.0] == results[None]
 
 
 # ------------------------------------------------------- export-slug collisions

@@ -82,11 +82,7 @@ def test_session_entry_fields():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"packet_size": 0},
         {"n_packets": 0},
-        {"c1": -1},
-        {"c1_bounds": (2.0, 1.0)},
-        {"c2_bounds": (-1.0, 1.0)},
     ],
 )
 def test_srm_config_validation(kwargs):

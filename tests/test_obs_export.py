@@ -41,7 +41,6 @@ def exported(tmp_path_factory):
     options = ObservabilityOptions(
         metrics_dir=str(root / "metrics"),
         trace_dir=str(root / "trace"),
-        zone_traffic=True,
     )
     with observe_runs(options):
         result = run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=SEED, drain=5.0)
@@ -112,8 +111,6 @@ def test_run_summary_and_counters(exported):
     assert export.run_summary["run_end"] == result.run_end
     # Protocol NACK counters agree with the protocol's own total.
     assert export.counter_total("nacks_sent") == result.nacks_sent
-    # Zone-traffic histograms made it to disk.
-    assert any(h["name"] == "zone_traffic" for h in export.histograms)
 
 
 def test_trace_export_loads_and_covers_run(exported):

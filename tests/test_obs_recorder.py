@@ -56,20 +56,6 @@ def test_fault_and_reconvergence_counters():
     assert obs.registry.counter("reconvergences").value == 1
 
 
-def test_zone_traffic_histograms():
-    sim = Simulator(seed=1)
-    pkt = Packet(src=0, group=1, size_bytes=1000, kind="DATA")
-    obs = RunObserver(sim, zone_of={5: 30, 6: 31}).attach()
-    sim.tracer.emit(0.3, "pkt.recv", 5, pkt)
-    sim.tracer.emit(0.3, "pkt.recv", 6, pkt)
-    sim.tracer.emit(0.4, "pkt.drop", 5, pkt)
-    sim.tracer.emit(0.4, "pkt.recv", 99, pkt)  # unmapped node: ignored
-    obs.detach()
-    assert obs.registry.histogram("zone_traffic", 0.1, zone=30, kind="DATA").bins == {3: 1}
-    assert obs.registry.histogram("zone_traffic", 0.1, zone=31, kind="DATA").bins == {3: 1}
-    assert obs.registry.histogram("zone_drops", 0.1, zone=30, kind="DATA").bins == {4: 1}
-
-
 def test_detach_restores_zero_cost():
     sim = Simulator(seed=1)
     assert not sim.tracer.wants("sharqfec.repair")
@@ -165,30 +151,23 @@ def test_capture_without_a_sink_appends_straight_to_the_list():
 
 
 def test_cached_metric_handles_leave_the_registry_snapshot_unchanged():
-    # Handles are looked up once per (category, zone) / (zone, kind); the
-    # snapshot — names, labels, insertion order, values — is what the
-    # uncached registry calls produced.
+    # Handles are looked up once per (category, zone); the snapshot —
+    # names, labels, insertion order, values — is what the uncached
+    # registry calls produced.
     sim = Simulator(seed=1)
-    pkt = Packet(src=0, group=1, size_bytes=8, kind="FEC")
-    obs = RunObserver(sim, zone_of={5: 30}).attach()
+    obs = RunObserver(sim).attach()
     for t in (0.05, 0.15, 0.16):
         sim.tracer.emit(t, "sharqfec.nack", 5, {"zone": 2})
         sim.tracer.emit(t, "sharqfec.inject", 5, {"zone": 2, "n": 3})
-        sim.tracer.emit(t, "pkt.recv", 5, pkt)
-        sim.tracer.emit(t, "pkt.qdrop", 5, pkt)
     obs.detach()
     obs.attach()  # a second attach finds the same metrics again
-    sim.tracer.emit(0.3, "pkt.recv", 5, pkt)
+    sim.tracer.emit(0.3, "sharqfec.nack", 5, {"zone": 2})
     obs.detach()
     labels = {"protocol": "sharqfec", "zone": 2}
     assert obs.registry.snapshot() == [
-        {"record": "counter", "name": "nacks_sent", "labels": labels, "value": 3},
+        {"record": "counter", "name": "nacks_sent", "labels": labels, "value": 4},
         {"record": "counter", "name": "injections", "labels": labels, "value": 3},
         {"record": "counter", "name": "injected_packets", "labels": labels, "value": 9},
         {"record": "hist", "name": "nacks_sent_per_interval", "labels": labels,
-         "bin_width": 0.1, "count": 3, "total": 3.0, "bins": {"0": 1, "1": 2}},
-        {"record": "hist", "name": "zone_traffic", "labels": {"kind": "FEC", "zone": 30},
          "bin_width": 0.1, "count": 4, "total": 4.0, "bins": {"0": 1, "1": 2, "3": 1}},
-        {"record": "hist", "name": "zone_drops", "labels": {"kind": "FEC", "zone": 30},
-         "bin_width": 0.1, "count": 3, "total": 3.0, "bins": {"0": 1, "1": 2}},
     ]

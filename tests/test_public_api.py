@@ -103,6 +103,16 @@ def test_the_on_off_switches_are_the_five_somebody_flips():
         "scoping", "injection", "sender_only",  # the paper's ns / ni / so
         "adaptive_timers", "late_join_recovery",
     }
+    # Every other config field is one a caller varies; the paper's
+    # constants live beside the dataclasses as module constants.
+    assert [field.name for field in dataclasses.fields(repro.SharqfecConfig)] == [
+        "group_size", "data_rate_bps", "n_packets",
+        "scoping", "injection", "sender_only",
+        "adaptive_timers", "late_join_recovery", "ewma_keep",
+    ]
+    assert [field.name for field in dataclasses.fields(repro.SrmConfig)] == [
+        "n_packets", "adaptive",
+    ]
 
 
 def test_every_name_the_benchmark_binds_resolves():

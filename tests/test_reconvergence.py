@@ -9,8 +9,6 @@ request one zone level instead of retrying forever.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import SharqfecConfig
 from repro.core.protocol import SharqfecProtocol
 from repro.faults import FaultInjector, FaultPlan
@@ -216,10 +214,3 @@ def test_stalled_zone_gives_up_and_escalates_to_the_parent():
     assert survivor.all_complete(config.n_groups)
     # Recovery came from the root scope, reached via give-up escalation.
     assert survivor.nacks_by_zone.get(root.zone_id, 0) > 0
-
-
-def test_giveup_fires_validation():
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        SharqfecConfig(giveup_fires=0)
