@@ -46,7 +46,9 @@ def pytest_terminal_summary(terminalreporter) -> None:
     if not _run_cache:
         return
     terminalreporter.section("traffic simulation throughput")
-    for (protocol, n_packets, seed_, drain), run in sorted(_run_cache.items()):
+    for (protocol, n_packets, seed_, drain, _obs), run in sorted(
+        _run_cache.items(), key=lambda item: item[0][:4]
+    ):
         rate = run.events / run.wall_seconds if run.wall_seconds > 0 else float("inf")
         terminalreporter.write_line(
             f"{protocol:<10} n={n_packets:<5} seed={seed_} drain={drain:g}: "

@@ -72,15 +72,6 @@ class MetricsExport:
         """Sum of one counter over every label combination."""
         return sum(self.counters.get(name, {}).values())
 
-    def counter_by_label(self, name: str, label: str) -> Dict[str, int]:
-        """One counter's totals grouped by one label's values."""
-        out: Dict[str, int] = {}
-        for labels, value in self.counters.get(name, {}).items():
-            for key, lv in labels:
-                if key == label:
-                    out[lv] = out.get(lv, 0) + value
-        return out
-
 
 def load_metrics(path: str) -> MetricsExport:
     """Parse a metrics JSONL file into a rebuilt monitor plus registry data."""

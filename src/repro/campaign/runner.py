@@ -12,9 +12,9 @@ campaign resumes by rerunning only the cells whose exports are missing —
 cell identity is the deterministic run slug (protocol, packets, seed plus
 the fault-plan/drain digest), which also guarantees two scenarios can
 never overwrite each other's files.  Workers are separate processes; each
-cell threads its export options explicitly into
-:func:`~repro.experiments.common.run_traffic`, so nothing races on
-ambient state.
+cell passes its export options to
+:func:`~repro.experiments.common.run_traffic` as ``obs=``, the only way a
+run learns them.
 """
 
 from __future__ import annotations

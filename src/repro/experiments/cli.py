@@ -12,6 +12,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -161,33 +162,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         "only applies to the 'national' experiment",
     ):
         return 2
-    from repro.experiments.common import observe_runs
-
-    targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    with observe_runs(_observability_options(args)):
-        for figure_id in targets:
-            print(run_experiment(figure_id, n_packets=args.packets, seed=args.seed))
-            print()
-            if args.csv is not None:
-                _maybe_write_csv(figure_id, args)
-    return 0
-
-
-def _maybe_write_csv(figure_id: str, args) -> None:
-    """Write a traffic figure's series to <dir>/<fig>.csv (no-op for the
-    analytic and session experiments, which have no time series)."""
-    import os
-
     from repro.experiments import traffic_sim
 
-    if figure_id not in traffic_sim.FIGURES:
-        return
-    figure = traffic_sim.figure(figure_id, n_packets=args.packets, seed=args.seed)
-    os.makedirs(args.csv, exist_ok=True)
-    path = os.path.join(args.csv, f"{figure_id}.csv")
-    with open(path, "w") as handle:
-        handle.write(figure.to_csv())
-    print(f"wrote {path}")
+    if (
+        args.experiment in EXPERIMENTS
+        and args.experiment not in traffic_sim.FIGURES
+        and _rejects(
+            args,
+            ("metrics_out", "trace_out", "progress", "csv"),
+            f"does not apply to the '{args.experiment}' experiment",
+        )
+    ):
+        return 2
+    obs = _observability_options(args)
+    targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    for figure_id in targets:
+        if figure_id not in traffic_sim.FIGURES:
+            print(run_experiment(figure_id, n_packets=args.packets, seed=args.seed))
+            print()
+            continue
+        figure = traffic_sim.figure(figure_id, n_packets=args.packets, seed=args.seed, obs=obs)
+        print(figure.render())
+        print()
+        if args.csv is not None:
+            os.makedirs(args.csv, exist_ok=True)
+            path = os.path.join(args.csv, f"{figure_id}.csv")
+            with open(path, "w") as handle:
+                handle.write(figure.to_csv())
+            print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script

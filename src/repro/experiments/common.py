@@ -9,14 +9,10 @@ under that shape and returns the binned series.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import os
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
-from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
 from repro.net.monitor import TrafficMonitor
 from repro.obs.progress import ProgressReporter
@@ -42,11 +38,11 @@ from repro.topology.figure10 import Figure10
 DATA_REPAIR_KINDS = ("DATA", "FEC", "REPAIR")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservabilityOptions:
     """Where (and whether) traffic runs export metrics/trace JSONL.
 
-    Set ambiently via :func:`observe_runs`; the ``sharqfec`` CLI's
+    Passed to :func:`run_traffic` as ``obs=``; the ``sharqfec`` CLI's
     ``--metrics-out`` / ``--trace-out`` / ``--progress`` flags build one of
     these.  Paths are directories: every protocol run writes
     ``<slug>_p<packets>_s<seed>.{metrics,trace}.jsonl`` inside them.
@@ -66,42 +62,8 @@ class ObservabilityOptions:
         )
 
 
-# Ambient export options.  A ContextVar (not a module global) so nested
-# observe_runs blocks compose and concurrent runs — campaign executor
-# threads/tasks — each see their own options instead of racing on one slot.
-_observability: contextvars.ContextVar[Optional[ObservabilityOptions]] = (
-    contextvars.ContextVar("sharqfec_observability", default=None)
-)
-
-
-def current_observability() -> Optional[ObservabilityOptions]:
-    """The options :func:`run_traffic` would export under right now."""
-    return _observability.get()
-
-
-@contextlib.contextmanager
-def observe_runs(options: Optional[ObservabilityOptions]) -> Iterator[None]:
-    """Make every :func:`run_traffic` inside the block export per ``options``."""
-    token = _observability.set(options)
-    try:
-        yield
-    finally:
-        _observability.reset(token)
-
-
-def default_packets() -> int:
-    """Packets per run: the paper's 1024, or ``SHARQFEC_PACKETS`` from the
-    environment (benchmarks default to a faster 128)."""
-    raw = os.environ.get("SHARQFEC_PACKETS", "1024")
-    try:
-        packets = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"SHARQFEC_PACKETS must be an integer packet count, got {raw!r}"
-        ) from None
-    if packets <= 0:
-        raise ConfigError(f"SHARQFEC_PACKETS must be positive, got {packets}")
-    return packets
+#: Packets per traffic run when the caller names none: the paper's stream.
+DEFAULT_PACKETS = 1024
 
 
 @dataclass
@@ -182,7 +144,7 @@ def run_traffic(
 
     Args:
         protocol: a name from :data:`VARIANTS`.
-        n_packets: CBR stream length (defaults to :func:`default_packets`).
+        n_packets: CBR stream length (defaults to :data:`DEFAULT_PACKETS`).
         seed: master RNG seed (identical seeds share loss patterns as far
             as transmission orders allow).
         drain: extra simulated seconds after the stream ends, letting the
@@ -197,8 +159,7 @@ def run_traffic(
             plan that permanently severs a Figure 10 tree edge leaves its
             receivers mesh-connected but undeliverable — use healing plans
             here, or filter receivers yourself.
-        obs: explicit export options; defaults to the ambient ones set by
-            :func:`observe_runs`.
+        obs: export options; ``None`` exports nothing.
 
     Teardown (reporter stop, observer detach, export of whatever the run
     observed) happens even when the run raises — a failed invariant still
@@ -209,12 +170,10 @@ def run_traffic(
     :func:`~repro.scenario.collector_paused`; the collector is back as the
     caller left it on return and on every raise.
     """
-    if obs is None:
-        obs = _observability.get()
     observed = obs is not None and obs.active
     spec = RunSpec(
         protocol=protocol,
-        n_packets=n_packets if n_packets is not None else default_packets(),
+        n_packets=n_packets if n_packets is not None else DEFAULT_PACKETS,
         seed=seed,
         drain=drain,
         fault_plan=fault_plan,

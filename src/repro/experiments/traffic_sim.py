@@ -2,8 +2,8 @@
 
 ``figure("figNN")`` returns a :class:`FigureResult` holding the same
 series the paper plots; :data:`FIGURES` is the table of what each one is.
-Runs are cached per (variant, packets, seed) so figures sharing a protocol
-run (e.g. 14 and 15) simulate it once.
+Runs are cached per (variant, packets, seed, drain, export options) so
+figures sharing a protocol run (e.g. 14 and 15) simulate it once.
 """
 
 from __future__ import annotations
@@ -13,9 +13,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.report import render_series, sparkline
 from repro.analysis.timeseries import series_stats
-from repro.experiments.common import TrafficRunResult, run_traffic
+from repro.experiments.common import (
+    DEFAULT_PACKETS,
+    ObservabilityOptions,
+    TrafficRunResult,
+    run_traffic,
+)
 
-_run_cache: Dict[Tuple[str, int, int, float], TrafficRunResult] = {}
+_RunKey = Tuple[str, int, int, float, Optional[ObservabilityOptions]]
+_run_cache: Dict[_RunKey, TrafficRunResult] = {}
 
 
 def clear_cache() -> None:
@@ -23,14 +29,20 @@ def clear_cache() -> None:
     _run_cache.clear()
 
 
-def _get_run(protocol: str, n_packets: Optional[int], seed: int, drain: float) -> TrafficRunResult:
-    from repro.experiments.common import default_packets
-
-    packets = n_packets if n_packets is not None else default_packets()
-    key = (protocol, packets, seed, drain)
+def _get_run(
+    protocol: str,
+    n_packets: Optional[int],
+    seed: int,
+    drain: float,
+    obs: Optional[ObservabilityOptions],
+) -> TrafficRunResult:
+    packets = n_packets if n_packets is not None else DEFAULT_PACKETS
+    # The export options are part of the key: an unobserved cached run must
+    # not stand in for one that was asked to export.
+    key = (protocol, packets, seed, drain, obs)
     result = _run_cache.get(key)
     if result is None:
-        result = run_traffic(protocol, n_packets=packets, seed=seed, drain=drain)
+        result = run_traffic(protocol, n_packets=packets, seed=seed, drain=drain, obs=obs)
         _run_cache[key] = result
     return result
 
@@ -143,9 +155,14 @@ def figure(
     n_packets: Optional[int] = None,
     seed: int = 1,
     drain: float = 10.0,
+    obs: Optional[ObservabilityOptions] = None,
 ) -> FigureResult:
-    """Reproduce one of Figures 14-21: one curve per variant in its row."""
+    """Reproduce one of Figures 14-21: one curve per variant in its row.
+
+    ``obs`` makes each run export per :func:`run_traffic`; a run another
+    figure already made under the same options is reused, not re-run.
+    """
     title, _description, kind, variants = FIGURES[figure_id]
-    runs = {variant: _get_run(variant, n_packets, seed, drain) for variant in variants}
+    runs = {variant: _get_run(variant, n_packets, seed, drain, obs) for variant in variants}
     series = {variant: _SERIES[kind](run) for variant, run in runs.items()}
     return FigureResult(figure_id, title, series, runs)

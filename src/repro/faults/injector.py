@@ -57,7 +57,6 @@ class FaultInjector:
         self.sim = network.sim
         self.plan = plan
         self.protocol = protocol
-        self._events: List[object] = []
         self._armed = False
         # partition node-set -> directed links this injector downed for it.
         self._partition_links: Dict[FrozenSet[int], List[Tuple[int, int]]] = {}
@@ -111,16 +110,9 @@ class FaultInjector:
                     f"{action.describe()}: scheduled in the past "
                     f"(now={self.sim.now:g})"
                 )
-            self._events.append(self.sim.at(action.time, self._fire, action))
+            self.sim.at(action.time, self._fire, action)
         self._armed = True
         return self
-
-    def disarm(self) -> None:
-        """Cancel every still-pending action (applied ones stay applied)."""
-        for event in self._events:
-            self.sim.cancel(event)
-        self._events.clear()
-        self._armed = False
 
     # --------------------------------------------------------------- firing
 

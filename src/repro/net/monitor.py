@@ -197,10 +197,6 @@ class TrafficMonitor:
 
     # -------------------------------------------------------------- accessors
 
-    def nodes_seen(self) -> List[int]:
-        """All node ids with at least one counted arrival."""
-        return sorted({node for (_, node) in self._stats})
-
     def total(self, kinds: Iterable[str], node: Optional[int] = None) -> int:
         """Total packets of the given kinds (at one node, or at all nodes)."""
         kinds = set(kinds)
@@ -222,43 +218,6 @@ class TrafficMonitor:
             if kind in kinds and (node is None or n == node):
                 total += record[2]
         return total
-
-    # ----------------------------------------------------------------- drops
-
-    def drop_total(
-        self, kinds: Optional[Iterable[str]] = None, node: Optional[int] = None
-    ) -> int:
-        """Dropped packets, filterable by kinds and/or destination node."""
-        kind_set = set(kinds) if kinds is not None else None
-        total = 0
-        for (kind, n), record in self._drop_stats.items():
-            if kind_set is not None and kind not in kind_set:
-                continue
-            if node is not None and n != node:
-                continue
-            total += record[1]
-        return total
-
-    def drops_by_kind(self) -> Dict[str, int]:
-        """Total drops per packet kind."""
-        out: Dict[str, int] = {}
-        for (kind, _), record in self._drop_stats.items():
-            out[kind] = out.get(kind, 0) + record[1]
-        return out
-
-    def drop_series(
-        self,
-        kinds: Iterable[str],
-        node: int,
-        t_end: Optional[float] = None,
-    ) -> List[int]:
-        """Drops-per-interval time series toward one node."""
-        return self._merged_series(
-            ((key, record[0]) for key, record in self._drop_stats.items()),
-            kinds,
-            (node,),
-            t_end,
-        )
 
     # ----------------------------------------------------------------- series
 

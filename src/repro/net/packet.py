@@ -55,9 +55,11 @@ class Packet:
 
     __slots__ = ("kind", "src", "group", "size_bytes", "loss_exempt", "uid")
 
-    #: Protocol fields rendered by :meth:`describe`, in wire order.  PDU
-    #: subclasses declare this instead of overriding ``describe`` so every
-    #: class shares one field format (see :func:`_format_field`).
+    #: Protocol fields rendered by :meth:`describe`.  This list *is* the
+    #: wire layout: ``repro.transport.wire`` encodes the fields the
+    #: constructor takes, in this order, with nothing else to keep in step.
+    #: PDU subclasses declare this instead of overriding ``describe`` so
+    #: every class shares one field format (see :func:`_format_field`).
     _DESCRIBE_FIELDS: Tuple[str, ...] = ()
 
     def __init__(

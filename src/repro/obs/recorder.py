@@ -263,53 +263,6 @@ class RunObserver:
     def _on_reconverge(self, record: TraceRecord) -> None:
         self.registry.counter("reconvergences").inc()
 
-    # ---------------------------------------------------------------- queries
-
-    def _zone_totals(self, family: str) -> Dict[int, int]:
-        """Per-zone totals of one SHARQFEC counter family.
-
-        SRM events carry the flat-scope sentinel zone ``-1`` and are
-        excluded: these queries answer "how much recovery stayed inside
-        each zone", which only scoped protocols define.
-        """
-        out: Dict[int, int] = {}
-        for labels, value in self.registry.counter_values(family).items():
-            label_map = dict(labels)
-            if label_map.get("protocol") != "sharqfec":
-                continue
-            zone = label_map.get("zone")
-            if zone is None:
-                continue
-            out[zone] = out.get(zone, 0) + value
-        return out
-
-    def repairs_by_zone(self) -> Dict[int, int]:
-        """Total repairs sent per zone (SHARQFEC agents)."""
-        return self._zone_totals("repairs_sent")
-
-    def nacks_by_zone(self) -> Dict[int, int]:
-        """Total NACKs sent per zone (SHARQFEC agents)."""
-        return self._zone_totals("nacks_sent")
-
-    def fault_counts(self) -> Dict[str, int]:
-        """Injected faults applied so far, per kind."""
-        return {
-            str(k): v
-            for k, v in self.registry.labeled_totals("faults", "kind").items()
-        }
-
-    def zcr_event_counts(self) -> Dict[str, int]:
-        """Election-lifecycle events per kind (challenge, suspect,
-        election, takeover, deposed, reconcile, failover)."""
-        return {
-            str(k): v
-            for k, v in self.registry.labeled_totals("zcr_events", "event").items()
-        }
-
-    def max_failover_latency(self) -> float:
-        """Worst suspect-to-adoption latency observed (0.0 when none)."""
-        return self.registry.gauge("zcr_failover_latency_max").value
-
     def __enter__(self) -> "RunObserver":
         return self.attach()
 

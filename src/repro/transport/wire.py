@@ -9,15 +9,16 @@ Frame layout (all integers big-endian)::
 
 ``src``/``group``/``size_bytes`` mirror the :class:`repro.net.packet.Packet`
 addressing header so a relay can route (and apply loss to) a frame from the
-fixed-size prefix alone — see :func:`peek_header`.  The body is a
-type-specific fixed struct, optionally followed by length-prefixed
-repetitions:
+fixed-size prefix alone — see :func:`peek_header`.  Each PDU class's
+``_DESCRIBE_FIELDS`` *is* its body layout: the fields its constructor takes,
+in that order, pack into one fixed struct, and the last one may instead be
+a variable-length trailer (see :class:`_Codec`):
 
 * floats travel as IEEE-754 doubles (``!d``), so every RTT estimate and
   timestamp round-trips bit-exact and ``describe()`` output matches on both
   ends of the wire;
 * entry tuples (session entries, NACK RTT chains, reconcile queues) are a
-  ``u16`` count followed by fixed-size records;
+  ``u16`` count followed by fixed-size records, one per element;
 * optional payloads are a ``u32`` length, with ``0xFFFFFFFF`` marking an
   absent (``None``) payload — distinct from a present-but-empty one.
 
@@ -30,8 +31,10 @@ round-trip property (``decode(encode(p))`` equals ``p`` field-for-field and
 
 from __future__ import annotations
 
+import inspect
 import struct
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Type
+from operator import attrgetter
+from typing import Any, Dict, NamedTuple, Optional, Tuple, Type
 
 from repro.core.pdus import (
     DataPdu,
@@ -141,269 +144,103 @@ class _Reader:
             )
 
 
-# ------------------------------------------------------------ field helpers
-
-
-def _put_payload(out: bytearray, payload: Optional[bytes]) -> None:
-    if payload is None:
-        out += _U32.pack(_NONE_PAYLOAD)
-        return
-    if len(payload) >= _NONE_PAYLOAD:
-        raise WireError(f"payload too large to frame: {len(payload)} bytes")
-    out += _U32.pack(len(payload))
-    out += payload
-
-
-def _get_payload(r: _Reader) -> Optional[bytes]:
-    (n,) = r.unpack(_U32)
-    if n == _NONE_PAYLOAD:
-        return None
-    return r.take(n)
-
-
-def _put_count(out: bytearray, n: int, what: str) -> None:
-    if n > 0xFFFF:
-        raise WireError(f"too many {what} to frame: {n}")
-    out += _U16.pack(n)
-
-
-def _get_entries(
-    r: _Reader, entry_cls: Callable[..., Any], st: struct.Struct
-) -> Tuple[Any, ...]:
-    """A session message's echo rows (SHARQFEC's or SRM's), one per peer."""
-    (count,) = r.unpack(_U16)
-    entries = tuple(entry_cls(*r.unpack(st)) for _ in range(count))
-    if len({e.peer_id for e in entries}) != count:
-        # One echo per peer: a hearer closes its RTT loop from *the* row
-        # about itself, so a second row would be ambiguous, not additive.
-        raise WireError("session entries list a peer more than once")
-    return entries
-
-
-# ------------------------------------------------------------- body codecs
-#
-# One (encode_body, decode_body) pair per PDU type.  encode_body appends the
-# body to a bytearray; decode_body consumes a _Reader and returns the kwargs
-# beyond the addressing header, which decode() feeds to the PDU constructor.
-
-_DATA_BODY = struct.Struct("!iii")
-
-
-def _enc_data(p: DataPdu, out: bytearray) -> None:
-    out += _DATA_BODY.pack(p.seq, p.group_id, p.index)
-    _put_payload(out, p.payload)
-
-
-def _dec_data(r: _Reader) -> Dict[str, Any]:
-    seq, group_id, index = r.unpack(_DATA_BODY)
-    return {"seq": seq, "group_id": group_id, "index": index, "payload": _get_payload(r)}
-
-
-_FEC_BODY = struct.Struct("!iiii")
-
-
-def _enc_fec(p: FecPdu, out: bytearray) -> None:
-    out += _FEC_BODY.pack(p.group_id, p.index, p.new_high_id, p.zone_id)
-    _put_payload(out, p.payload)
-
-
-def _dec_fec(r: _Reader) -> Dict[str, Any]:
-    group_id, index, new_high_id, zone_id = r.unpack(_FEC_BODY)
-    return {
-        "group_id": group_id,
-        "index": index,
-        "new_high_id": new_high_id,
-        "zone_id": zone_id,
-        "payload": _get_payload(r),
-    }
-
-
-_NACK_BODY = struct.Struct("!iiiii")
-_RTT_CHAIN_ENTRY = struct.Struct("!iid")
-
-
-def _enc_nack(p: NackPdu, out: bytearray) -> None:
-    out += _NACK_BODY.pack(p.group_id, p.llc, p.highest_seen, p.n_needed, p.zone_id)
-    _put_count(out, len(p.rtt_chain), "RTT chain entries")
-    for e in p.rtt_chain:
-        out += _RTT_CHAIN_ENTRY.pack(e.zone_id, e.zcr_id, e.rtt_to_sender)
-
-
-def _dec_nack(r: _Reader) -> Dict[str, Any]:
-    group_id, llc, highest_seen, n_needed, zone_id = r.unpack(_NACK_BODY)
-    (count,) = r.unpack(_U16)
-    chain = tuple(RttChainEntry(*r.unpack(_RTT_CHAIN_ENTRY)) for _ in range(count))
-    return {
-        "group_id": group_id,
-        "llc": llc,
-        "highest_seen": highest_seen,
-        "n_needed": n_needed,
-        "zone_id": zone_id,
-        "rtt_chain": chain,
-    }
-
-
-_SESSION_BODY = struct.Struct("!ididii")
-_SESSION_ENTRY = struct.Struct("!iddd")
-
-
-def _enc_session(p: SessionPdu, out: bytearray) -> None:
-    out += _SESSION_BODY.pack(
-        p.zone_id, p.timestamp, p.zcr_id, p.zcr_parent_rtt, p.zcr_epoch, p.highest_group
-    )
-    _put_count(out, len(p.entries), "session entries")
-    for e in p.entries:
-        out += _SESSION_ENTRY.pack(e.peer_id, e.peer_timestamp, e.elapsed, e.rtt_estimate)
-
-
-def _dec_session(r: _Reader) -> Dict[str, Any]:
-    zone_id, timestamp, zcr_id, zcr_parent_rtt, zcr_epoch, highest_group = r.unpack(
-        _SESSION_BODY
-    )
-    entries = _get_entries(r, SessionEntry, _SESSION_ENTRY)
-    return {
-        "zone_id": zone_id,
-        "timestamp": timestamp,
-        "zcr_id": zcr_id,
-        "zcr_parent_rtt": zcr_parent_rtt,
-        "zcr_epoch": zcr_epoch,
-        "highest_group": highest_group,
-        "entries": entries,
-    }
-
-
-_ZCR_CHAL_BODY = struct.Struct("!id")
-
-
-def _enc_zcr_chal(p: ZcrChallengePdu, out: bytearray) -> None:
-    # challenger_id is definitionally the header src; not re-encoded.
-    out += _ZCR_CHAL_BODY.pack(p.zone_id, p.sent_at)
-
-
-def _dec_zcr_chal(r: _Reader) -> Dict[str, Any]:
-    zone_id, sent_at = r.unpack(_ZCR_CHAL_BODY)
-    return {"zone_id": zone_id, "sent_at": sent_at}
-
-
-_ZCR_RESP_BODY = struct.Struct("!iid")
-
-
-def _enc_zcr_resp(p: ZcrResponsePdu, out: bytearray) -> None:
-    out += _ZCR_RESP_BODY.pack(p.zone_id, p.challenger_id, p.processing_delay)
-
-
-def _dec_zcr_resp(r: _Reader) -> Dict[str, Any]:
-    zone_id, challenger_id, processing_delay = r.unpack(_ZCR_RESP_BODY)
-    return {
-        "zone_id": zone_id,
-        "challenger_id": challenger_id,
-        "processing_delay": processing_delay,
-    }
-
-
-_ZCR_TAKE_BODY = struct.Struct("!idi")
-
-
-def _enc_zcr_take(p: ZcrTakeoverPdu, out: bytearray) -> None:
-    out += _ZCR_TAKE_BODY.pack(p.zone_id, p.dist_to_parent, p.epoch)
-
-
-def _dec_zcr_take(r: _Reader) -> Dict[str, Any]:
-    zone_id, dist_to_parent, epoch = r.unpack(_ZCR_TAKE_BODY)
-    return {"zone_id": zone_id, "dist_to_parent": dist_to_parent, "epoch": epoch}
-
-
-_ZCR_ELECT_BODY = struct.Struct("!iiid")
-
-
-def _enc_zcr_elect(p: ZcrElectPdu, out: bytearray) -> None:
-    # candidate_id is definitionally the header src; not re-encoded.
-    out += _ZCR_ELECT_BODY.pack(p.zone_id, p.epoch, p.attempt, p.dist_to_parent)
-
-
-def _dec_zcr_elect(r: _Reader) -> Dict[str, Any]:
-    zone_id, epoch, attempt, dist_to_parent = r.unpack(_ZCR_ELECT_BODY)
-    return {
-        "zone_id": zone_id,
-        "epoch": epoch,
-        "attempt": attempt,
-        "dist_to_parent": dist_to_parent,
-    }
-
-
-_ZCR_RECON_BODY = struct.Struct("!ii")
-_RECON_ENTRY = struct.Struct("!ii")
-
-
-def _enc_zcr_recon(p: ZcrReconcilePdu, out: bytearray) -> None:
-    out += _ZCR_RECON_BODY.pack(p.zone_id, p.epoch)
-    _put_count(out, len(p.outstanding), "reconcile entries")
-    for group_id, n in p.outstanding:
-        out += _RECON_ENTRY.pack(group_id, n)
-
-
-def _dec_zcr_recon(r: _Reader) -> Dict[str, Any]:
-    zone_id, epoch = r.unpack(_ZCR_RECON_BODY)
-    (count,) = r.unpack(_U16)
-    outstanding = tuple(r.unpack(_RECON_ENTRY) for _ in range(count))
-    return {"zone_id": zone_id, "epoch": epoch, "outstanding": outstanding}
-
-
-_SEQ_BODY = struct.Struct("!i")
-
-
-def _enc_seq(p: Any, out: bytearray) -> None:
-    out += _SEQ_BODY.pack(p.seq)
-
-
-def _dec_seq(r: _Reader) -> Dict[str, Any]:
-    (seq,) = r.unpack(_SEQ_BODY)
-    return {"seq": seq}
-
-
-_SRM_SESSION_BODY = struct.Struct("!di")
-_SRM_SESSION_ENTRY = struct.Struct("!idd")
-
-
-def _enc_srm_session(p: SrmSessionPdu, out: bytearray) -> None:
-    out += _SRM_SESSION_BODY.pack(p.timestamp, p.highest_seq)
-    _put_count(out, len(p.entries), "session entries")
-    for e in p.entries:
-        out += _SRM_SESSION_ENTRY.pack(e.peer_id, e.peer_timestamp, e.elapsed)
-
-
-def _dec_srm_session(r: _Reader) -> Dict[str, Any]:
-    timestamp, highest_seq = r.unpack(_SRM_SESSION_BODY)
-    entries = _get_entries(r, SrmSessionEntry, _SRM_SESSION_ENTRY)
-    return {"timestamp": timestamp, "highest_seq": highest_seq, "entries": entries}
-
-
 # ---------------------------------------------------------------- registry
 
 
-class _Codec(NamedTuple):
-    code: int
-    cls: Type[Packet]
-    kind: str
-    loss_exempt: bool
-    encode_body: Callable[[Any, bytearray], None]
-    decode_body: Callable[[_Reader], Dict[str, Any]]
+class _Codec:
+    """One PDU class's body layout, derived from the class itself.
+
+    The fields are the class's ``_DESCRIBE_FIELDS`` that its constructor
+    takes, in that order — so ``challenger_id`` / ``candidate_id``, which
+    are the header ``src``, stay off the wire.  They pack into the
+    ``fixed`` struct, except that the last one is a trailer when it is
+    ``payload`` (a ``u32`` length, ``0xFFFFFFFF`` for ``None``) or when the
+    row names a ``record`` struct (a ``u16`` count, then one record per
+    element, rebuilt as ``record_cls`` when given and as plain tuples
+    otherwise).
+    """
+
+    __slots__ = (
+        "code", "cls", "kind", "loss_exempt", "frame", "fields",
+        "fixed", "names", "trailer", "record", "record_cls", "unique_peers",
+    )
+
+    def __init__(
+        self,
+        code: int,
+        cls: Type[Packet],
+        kind: str,
+        loss_exempt: bool,
+        fixed: str,
+        record: Optional[str] = None,
+        record_cls: Optional[Type[tuple]] = None,
+    ) -> None:
+        params = inspect.signature(cls).parameters
+        names = [n for n in cls._DESCRIBE_FIELDS if n in params]
+        trailer = names.pop() if record or names[-1] == "payload" else None
+        self.code, self.cls, self.kind, self.loss_exempt = code, cls, kind, loss_exempt
+        self.fixed = struct.Struct(fixed)
+        assert len(self.fixed.unpack(bytes(self.fixed.size))) == len(names), cls
+        # Header and fixed part pack in one call.
+        self.frame = struct.Struct(_HEADER.format + fixed.lstrip("!"))
+        self.fields = attrgetter("src", "group", "size_bytes", *names)
+        self.names = tuple(names)
+        self.trailer = trailer
+        self.record = struct.Struct(record) if record else None
+        self.record_cls = record_cls
+        # A session message's echo rows: a hearer closes its RTT loop from
+        # *the* row about itself, so a second row would be ambiguous.
+        self.unique_peers = "peer_id" in getattr(record_cls, "_fields", ())
+
+    def encode(self, pdu: Packet) -> bytes:
+        head = self.frame.pack(MAGIC, WIRE_VERSION, self.code, *self.fields(pdu))
+        if self.trailer is None:
+            return head
+        value = getattr(pdu, self.trailer)
+        if self.record is None:
+            if value is None:
+                return head + _U32.pack(_NONE_PAYLOAD)
+            if len(value) >= _NONE_PAYLOAD:
+                raise WireError(f"payload too large to frame: {len(value)} bytes")
+            return head + _U32.pack(len(value)) + value
+        if len(value) > 0xFFFF:
+            raise WireError(f"too many {self.trailer} to frame: {len(value)}")
+        pack = self.record.pack
+        return b"".join([head, _U16.pack(len(value)), *(pack(*row) for row in value)])
+
+    def decode_body(self, r: _Reader) -> Dict[str, Any]:
+        kwargs = dict(zip(self.names, r.unpack(self.fixed)))
+        if self.trailer is None:
+            return kwargs
+        if self.record is None:
+            (n,) = r.unpack(_U32)
+            kwargs[self.trailer] = None if n == _NONE_PAYLOAD else r.take(n)
+            return kwargs
+        (count,) = r.unpack(_U16)
+        rows = self.record.iter_unpack(r.take(count * self.record.size))
+        if self.record_cls is not None:
+            rows = map(self.record_cls._make, rows)
+        value = tuple(rows)
+        if self.unique_peers and len({row.peer_id for row in value}) != count:
+            raise WireError(f"{self.trailer} list a peer more than once")
+        kwargs[self.trailer] = value
+        return kwargs
 
 
 _CODECS = [
-    _Codec(T_DATA, DataPdu, "DATA", False, _enc_data, _dec_data),
-    _Codec(T_FEC, FecPdu, "FEC", False, _enc_fec, _dec_fec),
-    _Codec(T_NACK, NackPdu, "NACK", True, _enc_nack, _dec_nack),
-    _Codec(T_SESSION, SessionPdu, "SESSION", True, _enc_session, _dec_session),
-    _Codec(T_ZCR_CHAL, ZcrChallengePdu, "ZCR_CHAL", True, _enc_zcr_chal, _dec_zcr_chal),
-    _Codec(T_ZCR_RESP, ZcrResponsePdu, "ZCR_RESP", True, _enc_zcr_resp, _dec_zcr_resp),
-    _Codec(T_ZCR_TAKE, ZcrTakeoverPdu, "ZCR_TAKE", True, _enc_zcr_take, _dec_zcr_take),
-    _Codec(T_ZCR_ELECT, ZcrElectPdu, "ZCR_ELECT", True, _enc_zcr_elect, _dec_zcr_elect),
-    _Codec(T_ZCR_RECON, ZcrReconcilePdu, "ZCR_RECON", True, _enc_zcr_recon, _dec_zcr_recon),
-    _Codec(T_SRM_DATA, SrmDataPdu, "DATA", False, _enc_seq, _dec_seq),
-    _Codec(T_SRM_NACK, SrmRequestPdu, "NACK", True, _enc_seq, _dec_seq),
-    _Codec(T_SRM_REPAIR, SrmRepairPdu, "REPAIR", False, _enc_seq, _dec_seq),
-    _Codec(T_SRM_SESSION, SrmSessionPdu, "SESSION", True, _enc_srm_session, _dec_srm_session),
+    _Codec(T_DATA, DataPdu, "DATA", False, "!iii"),
+    _Codec(T_FEC, FecPdu, "FEC", False, "!iiii"),
+    _Codec(T_NACK, NackPdu, "NACK", True, "!iiiii", "!iid", RttChainEntry),
+    _Codec(T_SESSION, SessionPdu, "SESSION", True, "!ididii", "!iddd", SessionEntry),
+    _Codec(T_ZCR_CHAL, ZcrChallengePdu, "ZCR_CHAL", True, "!id"),
+    _Codec(T_ZCR_RESP, ZcrResponsePdu, "ZCR_RESP", True, "!iid"),
+    _Codec(T_ZCR_TAKE, ZcrTakeoverPdu, "ZCR_TAKE", True, "!idi"),
+    _Codec(T_ZCR_ELECT, ZcrElectPdu, "ZCR_ELECT", True, "!iiid"),
+    _Codec(T_ZCR_RECON, ZcrReconcilePdu, "ZCR_RECON", True, "!ii", "!ii"),
+    _Codec(T_SRM_DATA, SrmDataPdu, "DATA", False, "!i"),
+    _Codec(T_SRM_NACK, SrmRequestPdu, "NACK", True, "!i"),
+    _Codec(T_SRM_REPAIR, SrmRepairPdu, "REPAIR", False, "!i"),
+    _Codec(T_SRM_SESSION, SrmSessionPdu, "SESSION", True, "!di", "!idd", SrmSessionEntry),
 ]
 
 _BY_CODE: Dict[int, _Codec] = {c.code: c for c in _CODECS}
@@ -422,11 +259,7 @@ def encode(pdu: Packet) -> bytes:
     codec = _BY_CLASS.get(type(pdu))
     if codec is None:
         raise WireError(f"no wire codec for {type(pdu).__name__}")
-    out = bytearray(
-        _HEADER.pack(MAGIC, WIRE_VERSION, codec.code, pdu.src, pdu.group, pdu.size_bytes)
-    )
-    codec.encode_body(pdu, out)
-    return bytes(out)
+    return codec.encode(pdu)
 
 
 def _check_header(data: bytes) -> Tuple[_Codec, int, int, int]:
@@ -451,10 +284,7 @@ def decode(data: bytes) -> Packet:
     """
     codec, src, group, size_bytes = _check_header(data)
     reader = _Reader(data, HEADER_SIZE)
-    try:
-        kwargs = codec.decode_body(reader)
-    except struct.error as exc:  # pragma: no cover - _Reader bounds-checks first
-        raise WireError(str(exc)) from exc
+    kwargs = codec.decode_body(reader)
     reader.finish()
     try:
         return codec.cls(src, group, size_bytes, **kwargs)

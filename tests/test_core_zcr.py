@@ -312,11 +312,11 @@ def test_failover_emits_bounded_latency_metric():
         assert elected_zcr(proto, zone.zone_id) == 1
         proto.crash_receiver(1)
         sim.run(until=40.0)
-    counts = obs.zcr_event_counts()
+    counts = obs.registry.labeled_totals("zcr_events", "event")
     assert counts.get("suspect", 0) >= 1
     assert counts.get("election", 0) >= 1
     assert counts.get("takeover", 0) >= 1
     assert counts.get("failover", 0) >= 1
     # Suspicion-to-adoption: a couple of election windows plus propagation,
     # far under the liveness timeout that preceded it.
-    assert 0.0 < obs.max_failover_latency() < 5.0
+    assert 0.0 < obs.registry.gauge("zcr_failover_latency_max").value < 5.0

@@ -121,7 +121,8 @@ def test_national_fault_plan_matches(tmp_path):
     # Fault counters must appear exactly once in the merge, not once per
     # shard: only shard 0's observer records global (replicated) events.
     export = load_metrics(_export(reference, tmp_path / "ref")[0])
-    assert export.counter_by_label("faults", "kind") == {
+    faults = {dict(labels)["kind"]: n for labels, n in export.counters["faults"].items()}
+    assert faults == {
         "gilbert_elliott": 1,
         "link_down": 1,
         "link_up": 1,

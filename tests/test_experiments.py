@@ -153,6 +153,11 @@ def test_cli_analytic_figure(capsys):
         ["fig8", "--cities", "2"],
         ["all", "--suburbs", "2"],
         ["fig14", "--subscribers", "2"],
+        *(
+            [experiment, flag, "1" if flag == "--progress" else "out"]
+            for experiment in ("fig1", "fig8", "fig11", "fig12", "fig13", "scaling", "latejoin")
+            for flag in ("--metrics-out", "--trace-out", "--progress", "--csv")
+        ),
     ],
 )
 def test_cli_rejects_a_flag_the_experiment_would_ignore(argv, capsys):

@@ -156,17 +156,6 @@ def test_churn_actions_drive_the_protocol():
     assert_no_duplicate_delivery(proto)
 
 
-def test_disarm_cancels_pending_actions():
-    sim, net = line_network()
-    injector = FaultInjector(net, FaultPlan().link_down(5.0, 0, 1))
-    injector.arm()
-    sim.run(until=1.0)
-    injector.disarm()
-    sim.run(until=10.0)
-    assert net.link(0, 1).up
-    assert injector.fired == []
-
-
 def test_faults_land_in_the_trace_stream():
     sim, net = line_network()
     plan = (

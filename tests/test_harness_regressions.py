@@ -6,10 +6,10 @@ Each test fails on the pre-fix harness:
   ``check_invariants`` raised;
 * ``run_slug`` ignored fault plan/drain, so differing runs overwrote each
   other's export files;
-* ``observe_runs`` mutated a module global, racing under concurrency;
+* a figure's cached unobserved run stood in for an observed one, so it
+  exported nothing;
 * wall-clock used non-monotonic ``time.time()``;
-* ``load_metrics`` silently guessed a missing ``bin_width`` and
-  ``default_packets`` leaked a bare ``ValueError``;
+* ``load_metrics`` silently guessed a missing ``bin_width``;
 * ``--progress`` counted its own ticks in the run's event total.
 """
 
@@ -19,20 +19,13 @@ import inspect
 import io
 import json
 import os
-import threading
 
 import pytest
 
 from repro.analysis.obsload import ObsLoadError, load_metrics, read_jsonl
-from repro.errors import ConfigError, InvariantViolation
-from repro.experiments.common import (
-    ObservabilityOptions,
-    current_observability,
-    default_packets,
-    observe_runs,
-    run_slug,
-    run_traffic,
-)
+from repro.errors import InvariantViolation
+from repro.experiments import traffic_sim
+from repro.experiments.common import ObservabilityOptions, run_slug, run_traffic
 from repro.faults.plan import FaultPlan
 from repro.obs.export import FORMAT
 from repro.obs.progress import ProgressReporter
@@ -75,16 +68,16 @@ def test_failed_invariant_still_detaches_stops_and_exports(tmp_path, monkeypatch
         progress_interval=1000.0,
         progress_stream=open(os.devnull, "w"),
     )
-    with observe_runs(options):
-        with pytest.raises(InvariantViolation):
-            run_traffic(
-                "SHARQFEC",
-                n_packets=N_PACKETS,
-                seed=1,
-                drain=4.0,
-                fault_plan=plan,
-                check_invariants=True,
-            )
+    with pytest.raises(InvariantViolation):
+        run_traffic(
+            "SHARQFEC",
+            n_packets=N_PACKETS,
+            seed=1,
+            drain=4.0,
+            fault_plan=plan,
+            check_invariants=True,
+            obs=options,
+        )
     assert calls["stop"] >= 1, "reporter leaked on invariant failure"
     assert calls["detach"] == 1, "observer leaked on invariant failure"
 
@@ -109,8 +102,7 @@ def test_progress_reporting_leaves_the_run_record_unchanged(tmp_path):
             progress_interval=progress,
             progress_stream=io.StringIO(),
         )
-        with observe_runs(options):
-            result = run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=1, drain=4.0)
+        result = run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=1, drain=4.0, obs=options)
         slug = run_slug("SHARQFEC", N_PACKETS, 1, drain=4.0)
         with open(os.path.join(options.metrics_dir, f"{slug}.metrics.jsonl"), "rb") as fh:
             results[progress] = (result.events, fh.read())
@@ -142,9 +134,8 @@ def test_run_slug_distinguishes_fault_plans_and_drain():
 def test_observed_runs_with_different_fault_plans_do_not_overwrite(tmp_path):
     options = ObservabilityOptions(metrics_dir=str(tmp_path))
     plan = FaultPlan("flap").link_down(2.0, 0, 1).link_up(2.5, 0, 1)
-    with observe_runs(options):
-        run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=3)
-        run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=3, fault_plan=plan)
+    run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=3, obs=options)
+    run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=3, fault_plan=plan, obs=options)
     files = sorted(os.listdir(tmp_path))
     assert len(files) == 2, f"fault-plan run overwrote the baseline: {files}"
     # The manifest records the full plan, not just its digest.
@@ -157,59 +148,31 @@ def test_observed_runs_with_different_fault_plans_do_not_overwrite(tmp_path):
     assert len(manifest["params"]["fault_plan"]["actions"]) == 2
 
 
-# -------------------------------------------------- concurrent observe_runs
+# ------------------------------------------------- figure run cache and export
 
 
-def test_observe_runs_is_isolated_across_threads(tmp_path):
-    """Two threads with different export options must not see each other's.
-
-    The pre-fix module global made the last writer win for everyone; the
-    barrier makes both threads enter their context before either runs.
-    """
-    dirs = {
-        "a": str(tmp_path / "a"),
-        "b": str(tmp_path / "b"),
-    }
-    barrier = threading.Barrier(2, timeout=60)
-    errors = []
-
-    def worker(tag: str, seed: int) -> None:
-        try:
-            options = ObservabilityOptions(metrics_dir=dirs[tag])
-            with observe_runs(options):
-                barrier.wait()
-                assert current_observability() is options
-                run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=seed)
-        except Exception as exc:  # pragma: no cover - failure reporting
-            errors.append((tag, exc))
-
-    threads = [
-        threading.Thread(target=worker, args=("a", 1)),
-        threading.Thread(target=worker, args=("b", 2)),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=300)
-    assert not errors, errors
-    assert os.listdir(dirs["a"]) == [
-        f"{run_slug('SHARQFEC', N_PACKETS, 1)}.metrics.jsonl"
-    ]
-    assert os.listdir(dirs["b"]) == [
-        f"{run_slug('SHARQFEC', N_PACKETS, 2)}.metrics.jsonl"
-    ]
-
-
-def test_observe_runs_nests_and_restores():
-    outer = ObservabilityOptions(metrics_dir="outer")
-    inner = ObservabilityOptions(metrics_dir="inner")
-    assert current_observability() is None
-    with observe_runs(outer):
-        assert current_observability() is outer
-        with observe_runs(inner):
-            assert current_observability() is inner
-        assert current_observability() is outer
-    assert current_observability() is None
+def test_a_cached_unobserved_run_does_not_stand_in_for_an_observed_one(tmp_path):
+    """Figures share runs through a cache.  A run cached without export
+    options must not answer a request that asks for an export, and figures
+    sharing a variant under the same options still simulate it once."""
+    traffic_sim.clear_cache()
+    try:
+        plain = traffic_sim.figure("fig14", n_packets=N_PACKETS, drain=2.0)
+        options = ObservabilityOptions(metrics_dir=str(tmp_path))
+        figures = [
+            traffic_sim.figure(figure_id, n_packets=N_PACKETS, drain=2.0, obs=options)
+            for figure_id in traffic_sim.FIGURES
+        ]
+    finally:
+        traffic_sim.clear_cache()
+    variants = {v for _title, _desc, _kind, pair in traffic_sim.FIGURES.values() for v in pair}
+    assert len(variants) == 6
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"{run_slug(v, N_PACKETS, 1, drain=2.0)}.metrics.jsonl" for v in variants
+    )
+    observed_runs = {id(run) for fig in figures for run in fig.runs.values()}
+    assert len(observed_runs) == 6  # 6 runs for Figures 14-21, not 16
+    assert figures[0].runs["SRM"] is not plain.runs["SRM"]
 
 
 # ------------------------------------------------------- monotonic wall clock
@@ -240,7 +203,7 @@ def test_harness_modules_use_monotonic_timers():
         assert "time.time(" not in inspect.getsource(module), module.__name__
 
 
-# ---------------------------------------------- strict manifest / env parsing
+# --------------------------------------------------- strict manifest parsing
 
 
 def _metrics_file(tmp_path, manifest: dict) -> str:
@@ -260,14 +223,3 @@ def test_load_metrics_rejects_missing_or_zero_bin_width(tmp_path):
     # A valid width still loads.
     export = load_metrics(_metrics_file(tmp_path, {**base, "bin_width": 0.5}))
     assert export.bin_width == 0.5
-
-
-def test_default_packets_rejects_malformed_env(monkeypatch):
-    monkeypatch.setenv("SHARQFEC_PACKETS", "lots")
-    with pytest.raises(ConfigError, match="SHARQFEC_PACKETS"):
-        default_packets()
-    monkeypatch.setenv("SHARQFEC_PACKETS", "-4")
-    with pytest.raises(ConfigError, match="positive"):
-        default_packets()
-    monkeypatch.setenv("SHARQFEC_PACKETS", "96")
-    assert default_packets() == 96

@@ -17,12 +17,7 @@ import itertools
 import os
 
 import repro.fec.fast
-from repro.experiments.common import (
-    ObservabilityOptions,
-    observe_runs,
-    run_slug,
-    run_traffic,
-)
+from repro.experiments.common import ObservabilityOptions, run_slug, run_traffic
 from repro.faults import FaultPlan
 from repro.fec import (
     ErasureCodec,
@@ -67,10 +62,9 @@ def _run_combo(tmp_path, monkeypatch, compiled: bool, numpy: bool):
         options = ObservabilityOptions(
             metrics_dir=str(root / "metrics"), trace_dir=str(root / "trace")
         )
-        with observe_runs(options):
-            result = run_traffic(
-                "SHARQFEC", n_packets=N_PACKETS, seed=SEED, drain=5.0, fault_plan=PLAN
-            )
+        result = run_traffic(
+            "SHARQFEC", n_packets=N_PACKETS, seed=SEED, drain=5.0, fault_plan=PLAN, obs=options
+        )
     slug = run_slug("SHARQFEC", N_PACKETS, SEED, drain=5.0, fault_plan=PLAN)
     with open(os.path.join(options.trace_dir, f"{slug}.trace.jsonl"), "rb") as f:
         trace_bytes = f.read()

@@ -79,13 +79,6 @@ def test_sends_and_drops_counted():
     assert mon.drops == 1
 
 
-def test_nodes_seen():
-    mon = TrafficMonitor()
-    mon.on_receive(ev(0.0, 5))
-    mon.on_receive(ev(0.0, 2))
-    assert mon.nodes_seen() == [2, 5]
-
-
 def test_invalid_bin_width():
     with pytest.raises(ValueError):
         TrafficMonitor(bin_width=0.0)
@@ -129,7 +122,7 @@ def test_send_and_drop_use_same_binning():
     mon.on_send(ev(0.3, 1))
     mon.on_drop(ev(0.3, 1))
     assert mon.send_series(["DATA"], 1) == [0, 0, 0, 1]
-    assert mon.drop_series(["DATA"], 1) == [0, 0, 0, 1]
+    assert dict(mon.drop_records())[("DATA", 1)][0] == {3: 1}
 
 
 # The monitor keeps the last bin's window and asks bin_index again only when
@@ -208,7 +201,7 @@ def test_window_is_shared_across_send_receive_and_drop():
     mon.on_receive(ev(0.3, 1))
     assert mon.series(["DATA"], 1) == [0, 0, 1, 1]
     assert mon.send_series(["DATA"], 1) == [0, 0, 0, 1]
-    assert mon.drop_series(["DATA"], 1) == [0, 0, 1]
+    assert dict(mon.drop_records())[("DATA", 1)][0] == {2: 1}
 
 
 def test_window_margin_scales_with_time():
@@ -249,7 +242,7 @@ def test_empty_series_contract():
     # No data, no t_end: empty.
     assert mon.series(["DATA"], 1) == []
     assert mon.send_series(["DATA"], 1) == []
-    assert mon.drop_series(["DATA"], 1) == []
+    assert list(mon.drop_records()) == []
     assert mon.mean_series(["DATA"], [1, 2]) == []
     assert mon.node_traffic_series(["DATA"], 1) == []
     # t_end = 0.0 is zero bins, not a clamped [0].
@@ -274,13 +267,11 @@ def test_drops_binned_per_kind_and_node():
     mon.on_drop(ev(0.15, 2, kind="DATA"))
     # Aggregate stays backward compatible.
     assert mon.drops == 3
-    assert mon.drop_total() == 3
-    assert mon.drop_total(kinds=["DATA"]) == 2
-    assert mon.drop_total(node=1) == 2
-    assert mon.drop_total(kinds=["FEC"], node=2) == 0
-    assert mon.drops_by_kind() == {"DATA": 2, "FEC": 1}
-    assert mon.drop_series(["DATA", "FEC"], 1) == [2]
-    assert mon.drop_series(["DATA"], 2) == [0, 1]
+    assert dict(mon.drop_records()) == {
+        ("DATA", 1): ({0: 1}, 1, 1000),
+        ("FEC", 1): ({0: 1}, 1, 1000),
+        ("DATA", 2): ({1: 1}, 1, 1000),
+    }
 
 
 # ----------------------------------------------------------- export/reload
@@ -303,7 +294,7 @@ def test_load_record_round_trips_every_series():
 
     assert rebuilt.series(["DATA", "FEC"], 1) == mon.series(["DATA", "FEC"], 1)
     assert rebuilt.send_series(["NACK"], 0) == mon.send_series(["NACK"], 0)
-    assert rebuilt.drop_series(["DATA"], 2) == mon.drop_series(["DATA"], 2)
+    assert dict(rebuilt.drop_records()) == dict(mon.drop_records())
     assert rebuilt.sends == mon.sends
     assert rebuilt.drops == mon.drops
     assert rebuilt.total_bytes(["DATA", "FEC"]) == mon.total_bytes(["DATA", "FEC"])

@@ -18,7 +18,6 @@ from repro.analysis.obsload import (
 from repro.experiments.common import (
     DATA_REPAIR_KINDS,
     ObservabilityOptions,
-    observe_runs,
     run_slug,
     run_traffic,
 )
@@ -42,8 +41,7 @@ def exported(tmp_path_factory):
         metrics_dir=str(root / "metrics"),
         trace_dir=str(root / "trace"),
     )
-    with observe_runs(options):
-        result = run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=SEED, drain=5.0)
+    result = run_traffic("SHARQFEC", n_packets=N_PACKETS, seed=SEED, drain=5.0, obs=options)
     slug = run_slug("SHARQFEC", N_PACKETS, SEED, drain=5.0)
     return {
         "result": result,
@@ -89,7 +87,7 @@ def test_reloaded_monitor_reproduces_series_bit_for_bit(exported):
     )
     assert rebuilt.drops == result.monitor.drops
     assert rebuilt.sends == result.monitor.sends
-    assert rebuilt.drops_by_kind() == result.monitor.drops_by_kind()
+    assert dict(rebuilt.drop_records()) == dict(result.monitor.drop_records())
 
 
 def test_figure_series_rebuild_from_disk(exported):
@@ -167,5 +165,5 @@ def test_export_metrics_standalone_monitor(tmp_path):
     )
     rebuilt = monitor_from_export(path)
     assert rebuilt.series(["DATA"], 1) == [0, 0, 0, 1]
-    assert rebuilt.drop_series(["FEC"], 2) == [0, 0, 0, 0, 1]
+    assert dict(rebuilt.drop_records())[("FEC", 2)] == ({4: 1}, 1, 500)
     assert rebuilt.total_bytes(["DATA"]) == 1000

@@ -29,8 +29,11 @@ def test_protocol_counters_and_zone_queries():
     sim.tracer.emit(1.3, "sharqfec.inject", 3, {"zone": 2, "group": 1, "n": 4})
     sim.tracer.emit(2.0, "srm.nack", 9, {"seq": 3})
     obs.detach()
-    assert obs.repairs_by_zone() == {2: 1, 7: 1}
-    assert obs.nacks_by_zone() == {2: 1}
+    assert obs.registry.counter_values("repairs_sent") == {
+        (("protocol", "sharqfec"), ("zone", 2)): 1,
+        (("protocol", "sharqfec"), ("zone", 7)): 1,
+    }
+    assert obs.registry.counter("nacks_sent", protocol="sharqfec", zone=2).value == 1
     assert obs.registry.counter("nacks_sent", protocol="srm", zone=-1).value == 1
     assert obs.registry.counter("injections", protocol="sharqfec", zone=2).value == 1
     assert obs.registry.counter(
@@ -52,7 +55,7 @@ def test_fault_and_reconvergence_counters():
     sim.tracer.emit(2.0, "net.reconverge", -1, None)
     obs.detach()
     kind = kinds[0].partition(".")[2]
-    assert obs.fault_counts() == {kind: 2}
+    assert obs.registry.labeled_totals("faults", "kind") == {kind: 2}
     assert obs.registry.counter("reconvergences").value == 1
 
 
@@ -146,7 +149,7 @@ def test_capture_without_a_sink_appends_straight_to_the_list():
     obs.detach()
     sim.tracer.emit(1.2, "pkt.send", 0, pkt)
     assert [r.category for r in obs.trace_records] == ["pkt.send", "sharqfec.repair"]
-    assert obs.repairs_by_zone() == {2: 1}
+    assert obs.registry.counter("repairs_sent", protocol="sharqfec", zone=2).value == 1
     assert not sim.tracer.wants("pkt.send")
 
 

@@ -110,11 +110,11 @@ def run_scenario() -> str:
     # The election lifecycle is observable: both zones suspected, elected
     # and failed over, and the worst suspect-to-adoption latency stayed
     # within the detector + election budget.
-    counts = observer.zcr_event_counts()
+    counts = observer.registry.labeled_totals("zcr_events", "event")
     for event in ("suspect", "election", "takeover", "failover"):
         assert counts.get(event, 0) >= 1, f"{context}: no {event!r} events"
     assert counts.get("reconcile", 0) >= 0  # repair handoff is loss-dependent
-    latency = observer.max_failover_latency()
+    latency = observer.registry.gauge("zcr_failover_latency_max").value
     assert 0.0 < latency < 6.0, f"{context}: failover latency {latency}"
     return recorder.render()
 

@@ -50,8 +50,9 @@ def test_import_repro_is_lazy():
 
 def test_configuration_arrives_through_one_channel():
     """Typed specs and configs are the only way to configure a run: nothing
-    under ``src/repro`` reads the environment except the two workload-size
-    knobs, and the equivalence knobs that used to be exported stay gone."""
+    under ``src/repro`` reads the environment except the property-test
+    example budget, and the equivalence knobs that used to be exported stay
+    gone."""
     root = pathlib.Path(repro.__file__).parent
     reads = set()
     for path in root.rglob("*.py"):
@@ -59,10 +60,7 @@ def test_configuration_arrives_through_one_channel():
             if re.search(r"os\.environ|getenv", line):
                 knob = re.search(r"SHARQFEC_\w+", line)
                 reads.add((path.relative_to(root).as_posix(), knob.group(0) if knob else line))
-    assert reads == {
-        ("experiments/common.py", "SHARQFEC_PACKETS"),
-        ("testing/__init__.py", "SHARQFEC_PROP_EXAMPLES"),
-    }
+    assert reads == {("testing/__init__.py", "SHARQFEC_PROP_EXAMPLES")}
     exported = set(repro.__all__) | set(repro.net.__all__) | set(repro.hybrid.__all__)
     assert not exported & {"FeatureFlags", "UnicastPacket", "hybrid_enabled"}
 

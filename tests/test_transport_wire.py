@@ -174,6 +174,60 @@ def test_encoding_is_deterministic():
     assert encode(a) == encode(b)  # uid and identity never leak into frames
 
 
+# ------------------------------------------------------ golden v1 frames
+#
+# Round-trips pass even when a layout changes the same way on both sides, so
+# these pin the version-1 bytes: one frame per PDU class, recorded from the
+# codec as first released.  A change here is a wire-version change.
+
+GOLDEN_V1 = [
+    (SAMPLES[2], "53460101ffffffff00000003000004000000000900000001000000010000000700ff68656c6c6f"),
+    (SAMPLES[4], "53460102000000040000000500000400000000020000001200000013ffffffff00000003666563"),
+    (
+        SAMPLES[6],
+        "534601030000000600000007000000400000000300000000ffffffff0000000100000009"
+        "000200000009000000043faa9fbe76c8b4390000000c00000002bff0000000000000",
+    ),
+    (
+        SAMPLES[8],
+        "534601040000000800000009000000dc000000094028400000000000000000043fa16872b020c49c"
+        "000000020000001100020000000240270000000000003fe40000000000003fa4fdf3b645a1cb"
+        "0000000340278000000000003fd8000000000000bff0000000000000",
+    ),
+    (SAMPLES[9], "534601050000000a0000000b0000003000000009400c000000000000"),
+    (SAMPLES[10], "534601060000000b0000000c00000030000000090000000a3f60624dd2f1a9fc"),
+    (SAMPLES[11], "534601070000000c0000000d00000030000000093f9999999999999a00000003"),
+    (SAMPLES[12], "534601080000000d0000000e00000030000000090000000400000001bff0000000000000"),
+    (
+        SAMPLES[13],
+        "534601090000000e0000000f0000004000000009000000050003000000000000000200000003"
+        "000000010000000700000004",
+    ),
+    (SAMPLES[15], "534601110000000000000001000003e80000002a"),
+    (SAMPLES[16], "534601120000000300000001000000400000002a"),
+    (SAMPLES[17], "534601130000000500000001000003e80000002a"),
+    (
+        SAMPLES[19],
+        "53460114000000070000000200000080401100000000000000000063000200000001400c000000"
+        "0000003fe800000000000000000002400d0000000000003fe4000000000000",
+    ),
+]
+
+
+def test_golden_frames_cover_every_pdu_class():
+    assert {type(p) for p, _ in GOLDEN_V1} == ALL_PDU_CLASSES
+
+
+@pytest.mark.parametrize("pdu,frame_hex", GOLDEN_V1, ids=[type(p).__name__ for p, _ in GOLDEN_V1])
+def test_golden_v1_frame(pdu, frame_hex):
+    frame = bytes.fromhex(frame_hex)
+    assert encode(pdu) == frame
+    clone = decode(frame)
+    assert type(clone) is type(pdu)
+    assert _protocol_fields(clone) == _protocol_fields(pdu)
+    assert clone.describe() == pdu.describe()
+
+
 # ------------------------------------------------------- malformed frames
 
 
