@@ -12,7 +12,7 @@ Run:  python examples/file_transfer.py
 
 import hashlib
 
-from repro.fec import GroupAssembler, NumpyErasureCodec, decode_blob, encode_blob
+from repro.fec import ErasureCodec, GroupAssembler, decode_blob, encode_blob
 from repro.net import Network, Packet
 from repro.sim import Simulator
 
@@ -54,7 +54,7 @@ def main() -> None:
     shard_size = GROUP_K * 1024
     shards = [document[i : i + shard_size] for i in range(0, len(document), shard_size)]
     encoded = [encode_blob(shard, GROUP_K, PROACTIVE_REPAIRS) for shard in shards]
-    codec = NumpyErasureCodec(GROUP_K)  # the vectorized codec, ~20x faster
+    codec = ErasureCodec(GROUP_K)
 
     assemblers = {rid: [GroupAssembler(GROUP_K, b) for b in range(len(shards))]
                   for rid in receivers}

@@ -25,7 +25,8 @@ Subpackages:
 * :mod:`repro.sim` — discrete-event simulation engine (the paper used ns).
 * :mod:`repro.net` — network model: links, nodes, routing, multicast.
 * :mod:`repro.scoping` — administratively scoped zone hierarchies.
-* :mod:`repro.fec` — GF(256) Reed–Solomon erasure codec.
+* :mod:`repro.fec` — GF(256) Cauchy Reed–Solomon erasure codec, pure
+  Python (the protocol moves identities only; this is the code they stand for).
 * :mod:`repro.srm` — Scalable Reliable Multicast baseline.
 * :mod:`repro.core` — the SHARQFEC protocol (the paper's contribution).
 * :mod:`repro.transport` — Clock/Transport seams, wire codec, real UDP.

@@ -28,6 +28,12 @@ from repro.errors import ConfigError
 PACKET_SIZE = 1000                 # bytes per data/FEC packet
 DATA_RATE_BPS = 800e3              # default CBR source rate
 
+# --- the erasure code's limits (repro.fec.ErasureCodec; a test pins them) ---
+# Agents count identities, exact because the code is MDS, but only for
+# identities the code has: repair identity i is the Cauchy row x = i < 256.
+MAX_IDENTITY = 255                 # highest packet identity of any group
+MAX_GROUP_SIZE = 128               # largest k (ErasureCodec.MAX_PACKETS)
+
 # --- suppression timers (§4; SRM fixed-timer form; shared with SRM) ---
 C1 = 2.0                           # request window start multiplier
 C2 = 2.0                           # request window width multiplier
@@ -131,8 +137,8 @@ class SharqfecConfig:
     ewma_keep: float = 0.75            # weight on the previous prediction
 
     def __post_init__(self) -> None:
-        if self.group_size < 1:
-            raise ConfigError("group_size must be >= 1")
+        if not 1 <= self.group_size <= MAX_GROUP_SIZE:
+            raise ConfigError(f"group_size must be in [1, {MAX_GROUP_SIZE}]")
         if self.data_rate_bps <= 0:
             raise ConfigError("data_rate_bps must be positive")
         if self.n_packets < 1:

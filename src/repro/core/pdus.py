@@ -11,7 +11,16 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.core.config import MAX_IDENTITY
 from repro.net.packet import Packet
+
+
+def _identity(value: int, lowest: int = 0) -> int:
+    """``value`` if the erasure code can produce it (checked once per PDU
+    built, by an agent or by ``wire.decode``, which reports a WireError)."""
+    if not lowest <= value <= MAX_IDENTITY:
+        raise ValueError(f"packet identity {value} is outside {lowest}..{MAX_IDENTITY}")
+    return value
 
 
 class DataPdu(Packet):
@@ -32,7 +41,7 @@ class DataPdu(Packet):
         super().__init__("DATA", src, group, size_bytes)
         self.seq = seq
         self.group_id = group_id
-        self.index = index
+        self.index = _identity(index)
         self.payload = payload
 
     _DESCRIBE_FIELDS = ("seq", "group_id", "index", "payload")
@@ -61,8 +70,8 @@ class FecPdu(Packet):
     ) -> None:
         super().__init__("FEC", src, group, size_bytes)
         self.group_id = group_id
-        self.index = index
-        self.new_high_id = new_high_id
+        self.index = _identity(index)
+        self.new_high_id = _identity(new_high_id)
         self.zone_id = zone_id
         self.payload = payload
 
@@ -87,9 +96,9 @@ class NackPdu(Packet):
     """A repair request.
 
     Carries the sender's Local Loss Count, the greatest packet identifier it
-    has seen for the group, and how many more packets it needs (§4) — never
-    the identity of a specific packet.  The ``rtt_chain`` lets any hearer
-    estimate its RTT to the sender indirectly (§5.1).
+    has seen for the group (-1 announces none), and how many more packets it
+    needs (§4) — never the identity of a specific packet.  The ``rtt_chain``
+    lets any hearer estimate its RTT to the sender indirectly (§5.1).
     """
 
     __slots__ = ("group_id", "llc", "highest_seen", "n_needed", "zone_id", "rtt_chain")
@@ -109,7 +118,7 @@ class NackPdu(Packet):
         super().__init__("NACK", src, group, size_bytes, loss_exempt=True)
         self.group_id = group_id
         self.llc = llc
-        self.highest_seen = highest_seen
+        self.highest_seen = _identity(highest_seen, lowest=-1)
         self.n_needed = n_needed
         self.zone_id = zone_id
         self.rtt_chain = rtt_chain

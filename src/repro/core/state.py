@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.core.config import MAX_IDENTITY
+from repro.errors import CodecError
+
 
 class GroupState:
     """State for one packet group at one endpoint."""
@@ -74,9 +77,12 @@ class GroupState:
     # ------------------------------------------------------------------ intake
 
     def record_index(self, index: int, now: Optional[float] = None) -> bool:
-        """Record packet identity ``index``; returns True if new."""
+        """Record packet identity ``index``; returns True if new.  One the
+        erasure code cannot produce raises :class:`CodecError`."""
         if index in self.indices:
             return False
+        if not 0 <= index <= MAX_IDENTITY:
+            raise CodecError(f"group {self.group_id}: identity {index} is not in the code")
         self.indices.add(index)
         self.stalled_fires = 0
         if index < self.k:
@@ -139,7 +145,10 @@ class GroupState:
     # -------------------------------------------------------------- identities
 
     def allocate_repair_index(self) -> int:
-        """Next unused packet identifier for a repair we are about to send."""
+        """Next unused packet identifier for a repair we are about to send
+        (:class:`CodecError` once the erasure code has none left)."""
+        if self.highest_known >= MAX_IDENTITY:
+            raise CodecError(f"group {self.group_id}: no repair identity left in the code")
         self.highest_known += 1
         self.repairs_sent += 1
         return self.highest_known

@@ -97,17 +97,19 @@ class ErasureCodec:
             packets: map from packet index to payload.  Indices ``< k`` are
                 original data packets; indices ``>= k`` are repair packets
                 (index ``k + r`` for repair row ``r``).  At least ``k``
-                entries are required; extras beyond the first ``k`` (in
-                ascending index order) are ignored.
+                entries with identities the code can produce (``0..255``)
+                are required; other identities, and extras beyond the
+                first ``k`` (in ascending index order), are ignored.
 
         Returns:
             The ``k`` original payloads in order.
         """
-        if len(packets) < self.k:
+        usable = sorted(i for i in packets if 0 <= i < GF256.ORDER)
+        if len(usable) < self.k:
             raise CodecError(
-                f"need at least k={self.k} packets to decode, got {len(packets)}"
+                f"need at least k={self.k} packets to decode, got {len(usable)}"
             )
-        chosen = sorted(packets)[: self.k]
+        chosen = usable[: self.k]
         width = len(packets[chosen[0]])
         for index in chosen:
             if len(packets[index]) != width:
@@ -130,13 +132,19 @@ class ErasureCodec:
     def can_decode(self, indices: Sequence[int]) -> bool:
         """True if this set of packet indices suffices to rebuild the group.
 
-        For an MDS code this is simply "≥ k distinct valid indices" — the
-        simulator relies on this equivalence (proved by a test against the
-        real decoder) to avoid running matrix inversions inside the event
-        loop.
+        For an MDS code this is simply "≥ k distinct identities the code can
+        produce" (``0..255``) — the simulator relies on this equivalence
+        (proved by a test against the real decoder) to avoid running matrix
+        inversions inside the event loop.
         """
-        distinct = {i for i in indices if i >= 0}
+        distinct = {i for i in indices if 0 <= i < GF256.ORDER}
         return len(distinct) >= self.k
+
+
+def default_codec(k: int) -> ErasureCodec:
+    """:class:`ErasureCodec`, the only codec; kept as a name because
+    ``benchmarks/e2e/kernels.py`` times ``type(default_codec(16))``."""
+    return ErasureCodec(k)
 
 
 _BLOB_HEADER = struct.Struct("!IHH")  # original length, k, payload width
@@ -157,10 +165,7 @@ def encode_blob(blob: bytes, k: int, n_repairs: int) -> Tuple[bytes, List[bytes]
         raise CodecError("blob too large for a single group; shard it")
     padded = blob + b"\x00" * (k * width - len(blob))
     data = [padded[i * width : (i + 1) * width] for i in range(k)]
-    from repro.fec.fast import default_codec  # deferred: fast imports this module
-
-    codec = default_codec(k)
-    repairs = codec.encode(data, n_repairs)
+    repairs = ErasureCodec(k).encode(data, n_repairs)
     header = _BLOB_HEADER.pack(len(blob), k, width)
     return header, data, repairs
 
@@ -171,11 +176,8 @@ def decode_blob(header: bytes, packets: Dict[int, bytes]) -> bytes:
         original_len, k, width = _BLOB_HEADER.unpack(header)
     except struct.error as exc:
         raise CodecError(f"bad blob header: {exc}") from exc
-    from repro.fec.fast import default_codec  # deferred: fast imports this module
-
-    codec = default_codec(k)
     for index, payload in packets.items():
         if len(payload) != width:
             raise CodecError(f"packet {index} width {len(payload)} != header width {width}")
-    data = codec.decode(packets)
+    data = ErasureCodec(k).decode(packets)
     return b"".join(data)[:original_len]

@@ -2,7 +2,7 @@
 
 The field is generated by the primitive polynomial x^8+x^4+x^3+x^2+1
 (0x11d), the same one used by Rizzo's FEC code and by RFC 5510.  Multiply
-and divide go through exp/log tables; addition is XOR.
+and invert go through exp/log tables; addition is XOR.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ class GF256:
         return a ^ b
 
     @staticmethod
-    def sub(a: int, b: int) -> int:
-        """Field subtraction (== addition) is XOR."""
-        return a ^ b
-
-    @staticmethod
     def mul(a: int, b: int) -> int:
         """Field multiplication via log/exp tables."""
         if a == 0 or b == 0:
@@ -56,29 +51,11 @@ class GF256:
         return _EXP[_LOG[a] + _LOG[b]]
 
     @staticmethod
-    def div(a: int, b: int) -> int:
-        """Field division a/b (ZeroDivisionError if b == 0)."""
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(256)")
-        if a == 0:
-            return 0
-        return _EXP[(_LOG[a] - _LOG[b]) % 255]
-
-    @staticmethod
     def inv(a: int) -> int:
         """Multiplicative inverse (ZeroDivisionError for 0)."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(256)")
         return _EXP[255 - _LOG[a]]
-
-    @staticmethod
-    def pow(a: int, n: int) -> int:
-        """a**n in the field (0**0 == 1 by convention)."""
-        if n == 0:
-            return 1
-        if a == 0:
-            return 0
-        return _EXP[(_LOG[a] * n) % 255]
 
     @staticmethod
     def mul_row(coeff: int, row: bytes) -> bytearray:

@@ -1,9 +1,10 @@
 """Incremental packet-group assembly.
 
 A receiver's view of one in-flight group: which packet indices have arrived,
-whether the group is reconstructable, and the actual reconstruction.  The
-protocol agents track group *identity* state with this class; the payload
-math is delegated to :class:`~repro.fec.codec.ErasureCodec`.
+whether the group is reconstructable, and the actual reconstruction, for
+callers that move real bytes (``examples/file_transfer.py``).  The protocol
+agents track identities only, with :class:`repro.core.state.GroupState`;
+the payload math is delegated to :class:`~repro.fec.codec.ErasureCodec`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.errors import CodecError
 from repro.fec.codec import ErasureCodec
-from repro.fec.fast import default_codec
+from repro.fec.gf256 import GF256
 
 
 class GroupAssembler:
@@ -21,7 +22,7 @@ class GroupAssembler:
     def __init__(self, k: int, group_id: int = 0, codec: Optional[ErasureCodec] = None) -> None:
         self.k = k
         self.group_id = group_id
-        self._codec = codec if codec is not None else default_codec(k)
+        self._codec = codec if codec is not None else ErasureCodec(k)
         self._payloads: Dict[int, bytes] = {}
         self._indices: Set[int] = set()
         self.duplicates = 0
@@ -34,10 +35,11 @@ class GroupAssembler:
         ``payload`` may be None when the caller only tracks identities (the
         traffic simulations do this for speed); mixing identity-only and
         payload tracking within one assembler is rejected at reconstruct
-        time, not here.
+        time, not here.  Identities the code cannot produce (outside
+        ``0..255``) raise :class:`CodecError`.
         """
-        if index < 0:
-            raise CodecError(f"negative packet index {index}")
+        if not 0 <= index < GF256.ORDER:
+            raise CodecError(f"packet index {index} is outside the code's identities")
         if index in self._indices:
             self.duplicates += 1
             return False

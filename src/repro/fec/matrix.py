@@ -38,14 +38,6 @@ class GFMatrix:
         return cls(rows)
 
     @classmethod
-    def vandermonde(cls, nrows: int, ncols: int) -> "GFMatrix":
-        """V[i][j] = (i+1)^j — rows are powers of distinct nonzero elements."""
-        if nrows + 1 > GF256.ORDER:
-            raise CodecError(f"vandermonde too tall for GF(256): {nrows}")
-        rows = [[GF256.pow(i + 1, j) for j in range(ncols)] for i in range(nrows)]
-        return cls(rows)
-
-    @classmethod
     def cauchy(cls, xs: Sequence[int], ys: Sequence[int]) -> "GFMatrix":
         """C[i][j] = 1 / (x_i + y_j); all x_i, y_j must be pairwise distinct.
 
@@ -65,10 +57,6 @@ class GFMatrix:
     def row(self, i: int) -> bytearray:
         """Row ``i`` (a live view; mutating it mutates the matrix)."""
         return self.data[i]
-
-    def copy(self) -> "GFMatrix":
-        """Deep copy."""
-        return GFMatrix([bytearray(r) for r in self.data])
 
     def mul_vector_rows(self, vectors: Sequence[bytes]) -> List[bytearray]:
         """Multiply this matrix by a stack of byte-vectors.

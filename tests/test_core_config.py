@@ -84,6 +84,7 @@ def test_constants_keep_the_invariants_the_protocol_relies_on():
         {"n_packets": 0},
         {"ewma_keep": 1.0},
         {"ewma_keep": -0.1},
+        {"group_size": 129},  # no GF(256) code builds a group this large
     ],
 )
 def test_invalid_configs_rejected(kwargs):

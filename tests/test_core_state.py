@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import MAX_IDENTITY
 from repro.core.state import GroupState
+from repro.errors import CodecError
 
 ZONES = [10, 11, 12]  # smallest -> root
 
@@ -88,6 +90,25 @@ def test_note_highest_moves_allocation_forward():
     assert s.allocate_repair_index() == 21
     s.note_highest(5)  # lower values never move it back
     assert s.allocate_repair_index() == 22
+
+
+def test_allocation_stops_at_the_codes_last_identity():
+    s = make_state(16)
+    s.note_highest(MAX_IDENTITY - 1)
+    assert s.allocate_repair_index() == MAX_IDENTITY
+    with pytest.raises(CodecError):
+        s.allocate_repair_index()
+    assert s.highest_known == MAX_IDENTITY
+
+
+def test_identities_outside_the_code_are_refused():
+    s = make_state(16)
+    for i in range(14):
+        s.record_index(i)
+    for stranger in (-7, MAX_IDENTITY + 1, 300):
+        with pytest.raises(CodecError):
+            s.record_index(stranger)
+    assert not s.complete and s.deficit() == 2
 
 
 def test_zero_k_group_is_trivially_complete():

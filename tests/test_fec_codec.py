@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import MAX_GROUP_SIZE, MAX_IDENTITY
+from repro.core.state import GroupState
 from repro.errors import CodecError
 from repro.fec.codec import ErasureCodec, decode_blob, encode_blob
 
@@ -56,6 +58,7 @@ def test_encode_one_matches_batch():
     batch = codec.encode(data, 4)
     for r in range(4):
         assert codec.encode_one(data, r) == batch[r]
+    assert codec.encode(data, 0) == []
 
 
 def test_unequal_payload_lengths_rejected():
@@ -82,6 +85,20 @@ def test_invalid_k_rejected():
 def test_negative_repair_index_rejected():
     with pytest.raises(CodecError):
         ErasureCodec(4).repair_row(-1)
+    with pytest.raises(CodecError):
+        ErasureCodec(4).encode(make_data(4), -1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 16, 100, 128])
+def test_identity_bounds_are_the_codes(k):
+    """``core.config`` states the code's limits without importing it."""
+    codec = ErasureCodec(k)
+    codec.repair_row(MAX_IDENTITY - k)  # the highest identity exists...
+    with pytest.raises(CodecError):
+        codec.repair_row(MAX_IDENTITY - k + 1)  # ...and is the last one
+    assert ErasureCodec(MAX_GROUP_SIZE).k == MAX_GROUP_SIZE
+    with pytest.raises(CodecError):
+        ErasureCodec(MAX_GROUP_SIZE + 1)
 
 
 def test_can_decode_matches_real_decoder():
@@ -94,14 +111,56 @@ def test_can_decode_matches_real_decoder():
     everything.update({k + r: repairs[r] for r in range(4)})
     import itertools
 
+    # Identities the code cannot produce count for nothing, whatever bytes
+    # arrive under them.
+    strangers = {-7: data[0], -1: data[1], 256: data[2], 300: data[3]}
+
     for size in range(1, 7):
         for combo in itertools.combinations(sorted(everything), size):
-            subset = {i: everything[i] for i in combo}
-            if codec.can_decode(combo):
-                assert codec.decode(subset) == data
-            else:
-                with pytest.raises(CodecError):
-                    codec.decode(subset)
+            for extra in ((), (-1,), (256,), (-7, 300)):
+                subset = {i: everything[i] for i in combo}
+                subset.update({i: strangers[i] for i in extra})
+                if codec.can_decode(combo + extra):
+                    assert codec.decode(subset) == data
+                else:
+                    with pytest.raises(CodecError):
+                        codec.decode(subset)
+    assert not ErasureCodec(16).can_decode(list(range(15)) + [300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.integers(min_value=-2, max_value=260), max_size=10),
+)
+def test_identity_model_is_the_code(k, draws):
+    """Counting identities (the simulator) agrees with the real decoder.
+
+    For any multiset of identities fed through ``GroupState.record_index``:
+    the group is complete iff the codec says it can decode them iff
+    decoding their payloads returns the data.
+    """
+    codec = ErasureCodec(k)
+    data = make_data(k, width=4)
+    repairs = codec.encode(data, MAX_IDENTITY + 1 - k)
+    payload = {i: data[i] for i in range(k)}
+    payload.update({k + r: repairs[r] for r in range(len(repairs))})
+
+    state = GroupState(0, k, zone_ids=[0])
+    for index in draws:
+        if 0 <= index <= MAX_IDENTITY:
+            state.record_index(index)
+        else:
+            with pytest.raises(CodecError):
+                state.record_index(index)
+
+    assert state.complete == codec.can_decode(draws)
+    received = {i: payload.get(i, b"????") for i in draws}
+    if state.complete:
+        assert codec.decode(received) == data
+    else:
+        with pytest.raises(CodecError):
+            codec.decode(received)
 
 
 @settings(max_examples=50, deadline=None)

@@ -41,6 +41,9 @@ def test_negative_index_rejected():
     asm = GroupAssembler(k=2)
     with pytest.raises(CodecError):
         asm.add(-1)
+    with pytest.raises(CodecError):
+        asm.add(256)  # past the code's last identity
+    assert asm.received == 0
 
 
 def test_reconstruct_with_payloads():

@@ -1,31 +1,22 @@
-"""The implementation-equivalence matrix.
+"""The implementation-equivalence check.
 
-Two places in the tree have a fast implementation and a plain one:
-multicast forwarding (the compiled schedule in ``Network`` vs the
-interpreted walk kept test-side as the oracle) and the erasure codec (numpy
-vs pure Python, selected by whether numpy imports).  They are
-implementations, not behaviours: every combination must produce the same
-simulation, event for event, and the same coded bytes.
+One place in the tree has a fast implementation and a plain one: multicast
+forwarding (the compiled schedule in ``Network`` vs the interpreted walk
+kept test-side as the oracle).  They are implementations, not behaviours:
+both must produce the same simulation, event for event, and the coded bytes
+that ride along must not depend on which one ran.
 
 The check is maximally strict: the exported trace and metrics JSONL files
-of all four combinations must be byte-identical.
+of both must be byte-identical.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 
-import repro.fec.fast
 from repro.experiments.common import ObservabilityOptions, run_slug, run_traffic
 from repro.faults import FaultPlan
-from repro.fec import (
-    ErasureCodec,
-    NumpyErasureCodec,
-    decode_blob,
-    default_codec,
-    encode_blob,
-)
+from repro.fec import decode_blob, encode_blob
 from repro.net.network import Network
 from tests.test_perf_optimizations import reference_multicast
 
@@ -40,25 +31,20 @@ PLAN = (
     .link_down(6.08, 1, 9).link_up(6.7, 1, 9)
 )
 
-#: (compiled forwarding, numpy codec); the numpy half needs numpy.
-COMBOS = list(
-    itertools.product([True, False], [True, False] if repro.fec.fast.HAVE_NUMPY else [False])
-)
+#: Compiled forwarding, then the interpreted oracle.
+COMBOS = [True, False]
 
 
-def _run_combo(tmp_path, monkeypatch, compiled: bool, numpy: bool):
+def _run_combo(tmp_path, monkeypatch, compiled: bool):
     with monkeypatch.context() as patch:
         if not compiled:
             patch.setattr(Network, "multicast", reference_multicast)
-        if not numpy:  # what a numpy-less platform sees
-            patch.setattr(repro.fec.fast, "HAVE_NUMPY", False)
-        assert type(default_codec(8)) is (NumpyErasureCodec if numpy else ErasureCodec)
         header, data, repairs = encode_blob(BLOB, 8, 3)
         survivors = {i: data[i] for i in range(3, 8)}
         survivors.update({8 + r: repairs[r] for r in range(3)})
         coded = (header, repairs, decode_blob(header, survivors))
 
-        root = tmp_path / f"c{compiled:d}_n{numpy:d}"
+        root = tmp_path / f"c{compiled:d}"
         options = ObservabilityOptions(
             metrics_dir=str(root / "metrics"), trace_dir=str(root / "trace")
         )
@@ -74,7 +60,7 @@ def _run_combo(tmp_path, monkeypatch, compiled: bool, numpy: bool):
 
 
 def test_forwarding_and_codec_implementations_are_behavior_preserving(tmp_path, monkeypatch):
-    results = {combo: _run_combo(tmp_path, monkeypatch, *combo) for combo in COMBOS}
+    results = {combo: _run_combo(tmp_path, monkeypatch, combo) for combo in COMBOS}
 
     baseline, baseline_trace, baseline_metrics, baseline_coded = results[COMBOS[0]]
     assert len(baseline_trace.splitlines()) > N_PACKETS  # a real trace

@@ -1,8 +1,8 @@
 """Regression tests for the hot-path optimization layer.
 
-Every optimization in this PR (tuple heap, tombstone compaction, event
-recycling, handle-free ``push_call`` entries, compiled forwarding, numpy
-codec default) is required to be *behaviour-preserving*: seeded runs must
+Every optimization here (tuple heap, tombstone compaction, event
+recycling, handle-free ``push_call`` entries, compiled forwarding) is
+required to be *behaviour-preserving*: seeded runs must
 replay byte-identically whichever path executes.  These tests pin the
 equivalences and the queue bookkeeping that the optimizations rely on.
 """
@@ -392,27 +392,6 @@ def test_compiled_forwarding_matches_reference_walk(monkeypatch):
 
 
 def test_default_codec_selection():
-    from repro.fec import ErasureCodec
-    from repro.fec.fast import HAVE_NUMPY, NumpyErasureCodec, default_codec
+    from repro.fec import ErasureCodec, default_codec
 
-    expected = NumpyErasureCodec if HAVE_NUMPY else ErasureCodec
-    assert type(default_codec(8)) is expected
-
-
-def test_numpy_and_pure_codecs_are_bit_identical():
-    from repro.fec import ErasureCodec
-    from repro.fec.fast import HAVE_NUMPY, NumpyErasureCodec
-
-    if not HAVE_NUMPY:
-        pytest.skip("numpy unavailable; only the pure path exists")
-    k, width, n_repairs = 12, 97, 5
-    data = [bytes((i * 37 + j * 11 + 5) % 256 for j in range(width)) for i in range(k)]
-    pure, fast = ErasureCodec(k), NumpyErasureCodec(k)
-    pure_repairs = pure.encode(data, n_repairs)
-    fast_repairs = fast.encode(data, n_repairs)
-    assert pure_repairs == fast_repairs
-    # Drop the first n_repairs data blocks; both decoders must rebuild them.
-    available = {i: data[i] for i in range(n_repairs, k)}
-    for r in range(n_repairs):
-        available[k + r] = pure_repairs[r]
-    assert pure.decode(dict(available)) == fast.decode(dict(available)) == data
+    assert type(default_codec(8)) is ErasureCodec

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import dataclasses
 import importlib
@@ -63,6 +64,26 @@ def test_configuration_arrives_through_one_channel():
     assert reads == {("testing/__init__.py", "SHARQFEC_PROP_EXAMPLES")}
     exported = set(repro.__all__) | set(repro.net.__all__) | set(repro.hybrid.__all__)
     assert not exported & {"FeatureFlags", "UnicastPacket", "hybrid_enabled"}
+
+
+def test_the_library_imports_only_the_standard_library():
+    """``pyproject.toml`` declares no dependencies, so nothing under
+    ``src/repro`` may import one, not even optionally inside a function."""
+    root = pathlib.Path(repro.__file__).parent
+    foreign = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.partition(".")[0]
+                if top != "repro" and top not in sys.stdlib_module_names:
+                    foreign.add((path.relative_to(root).as_posix(), top))
+    assert foreign == set()
 
 
 def test_unknown_attribute_raises():

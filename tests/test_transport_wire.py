@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import MAX_IDENTITY
 from repro.core.pdus import (
     DataPdu,
     FecPdu,
@@ -285,6 +286,55 @@ def test_corrupt_entry_count_rejected():
         decode(bytes(frame))
 
 
+# A frame field holds any i32, but a packet identity must be one the erasure
+# code can produce (0..MAX_IDENTITY; a NACK's highest_seen may also be -1,
+# "none").  Each frame is a golden v1 frame above with one identity field
+# rewritten; counted toward a group, it would complete a group nobody can
+# rebuild.
+
+OUT_OF_CODE_V1 = {
+    "DATA index -7": "53460101ffffffff0000000300000400"
+    "0000000900000001fffffff90000000700ff68656c6c6f",
+    "DATA index 300": "53460101ffffffff0000000300000400"
+    "00000009000000010000012c0000000700ff68656c6c6f",
+    "FEC index -7": "53460102000000040000000500000400"
+    "00000002fffffff900000013ffffffff00000003666563",
+    "FEC index 256": "53460102000000040000000500000400"
+    "000000020000010000000013ffffffff00000003666563",
+    "FEC new_high_id -7": "53460102000000040000000500000400"
+    "0000000200000012fffffff9ffffffff00000003666563",
+    "FEC new_high_id 300": "53460102000000040000000500000400"
+    "00000002000000120000012cffffffff00000003666563",
+    "NACK highest_seen 256": "53460103000000060000000700000040"
+    "0000000300000000000001000000000100000009000200000009000000043faa9fbe76c8"
+    "b4390000000c00000002bff0000000000000",
+    "NACK highest_seen -2": "53460103000000060000000700000040"
+    "0000000300000000fffffffe0000000100000009000200000009000000043faa9fbe76c8"
+    "b4390000000c00000002bff0000000000000",
+}
+
+
+@pytest.mark.parametrize("frame_hex", OUT_OF_CODE_V1.values(), ids=list(OUT_OF_CODE_V1))
+def test_identity_outside_the_code_rejected(frame_hex):
+    with pytest.raises(WireError, match="outside"):
+        decode(bytes.fromhex(frame_hex))
+
+
+def test_identity_outside_the_code_refused_in_process_too():
+    for bad in (-1, MAX_IDENTITY + 1):
+        with pytest.raises(ValueError):
+            DataPdu(0, 3, 1024, seq=7, group_id=0, index=bad)
+        with pytest.raises(ValueError):
+            FecPdu(4, 5, 1024, group_id=2, index=bad, new_high_id=19, zone_id=9)
+        with pytest.raises(ValueError):
+            FecPdu(4, 5, 1024, group_id=2, index=17, new_high_id=bad, zone_id=9)
+    with pytest.raises(ValueError):
+        NackPdu(6, 7, 64, 3, 2, MAX_IDENTITY + 1, 2, 9)
+    # The code's last identity is still one.
+    assert_roundtrip(FecPdu(4, 5, 1024, 2, MAX_IDENTITY, MAX_IDENTITY, 9))
+    assert_roundtrip(NackPdu(6, 7, 64, 3, 2, MAX_IDENTITY, 2, 9))
+
+
 def _session_with(entries):
     return SessionPdu(8, 9, 220, 9, 12.125, 4, 0.034, tuple(entries), 2, 17)
 
@@ -376,11 +426,13 @@ srm_entries = st.lists(
     unique_by=lambda e: e.peer_id,
 ).map(tuple)
 outstanding = st.lists(st.tuples(i32, i32), max_size=8).map(tuple)
+identities = st.integers(0, MAX_IDENTITY)  # the erasure code's, see above
 
 pdu_strategy = st.one_of(
-    st.builds(DataPdu, i32, i32, sizes, i32, i32, i32, payloads),
-    st.builds(FecPdu, i32, i32, sizes, i32, i32, i32, i32, payloads),
-    st.builds(NackPdu, i32, i32, sizes, i32, i32, i32, i32, i32, rtt_chains),
+    st.builds(DataPdu, i32, i32, sizes, i32, i32, identities, payloads),
+    st.builds(FecPdu, i32, i32, sizes, i32, identities, identities, i32, payloads),
+    st.builds(NackPdu, i32, i32, sizes, i32, i32, st.integers(-1, MAX_IDENTITY), i32, i32,
+              rtt_chains),
     st.builds(SessionPdu, i32, i32, sizes, i32, finite, i32, finite, session_entries, i32, i32),
     st.builds(ZcrChallengePdu, i32, i32, sizes, i32, finite),
     st.builds(ZcrResponsePdu, i32, i32, sizes, i32, i32, finite),
