@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import (
-    C1, C2, DEFAULT_DISTANCE, PACKET_SIZE, ZCR_PDU_SIZE, ZLC_MEASURE_RTT_MULTIPLE,
-    SharqfecConfig,
+    C1, C2, DEFAULT_DISTANCE, MAX_IDENTITY, PACKET_SIZE, ZCR_PDU_SIZE,
+    ZLC_MEASURE_RTT_MULTIPLE, SharqfecConfig,
 )
 from repro.core.injection import EwmaPredictor
 from repro.core.pdus import (
@@ -381,6 +381,10 @@ class SharqfecEndpoint:
         """Subclass hook: a session peer advertised the stream extent."""
 
     def _can_repair(self, state: GroupState) -> bool:
+        # A peer may announce the code's last identity (FEC new_high_id or
+        # NACK highest_seen); past it there is no repair left to allocate.
+        if state.highest_known >= MAX_IDENTITY:
+            return False
         return self.is_source or state.complete
 
     def _is_zone_repair_authority(self, zone_id: int) -> bool:

@@ -24,6 +24,7 @@ class GroupState:
         "data_count",
         "max_data_index_seen",
         "counted_lost",
+        "loss_scanned",
         "zlc",
         "highest_known",
         "complete",
@@ -49,6 +50,9 @@ class GroupState:
         self.data_count = 0
         self.max_data_index_seen = -1
         self.counted_lost: Set[int] = set()
+        # Data indices below this were already classified (arrived or
+        # counted lost); both sets only grow, so they never need a rescan.
+        self.loss_scanned = 0
         # zone_id -> max loss count reported by any receiver in that zone.
         self.zlc: Dict[int, int] = {zid: 0 for zid in zone_ids}
         # Identifiers 0..k-1 are known to exist a priori (group size is
@@ -105,9 +109,14 @@ class GroupState:
 
         Returns the number of *newly* detected losses.
         """
+        end = min(index, self.k)
+        start = self.loss_scanned
+        if end <= start:
+            return 0
+        self.loss_scanned = end
         new = 0
-        for j in range(min(index, self.k)):
-            if j not in self.indices and j not in self.counted_lost:
+        for j in range(start, end):
+            if j not in self.indices:
                 self.counted_lost.add(j)
                 new += 1
         return new

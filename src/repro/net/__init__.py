@@ -8,7 +8,7 @@ the paper's loss-correlation-by-tree behaviour).
 """
 
 from repro.net.link import Link
-from repro.net.monitor import PacketEvent, TrafficMonitor
+from repro.net.monitor import TrafficMonitor
 from repro.net.multicast import MulticastGroup
 from repro.net.network import DEFAULT_RECONVERGENCE_DELAY, Network
 from repro.net.node import Node
@@ -27,7 +27,6 @@ __all__ = [
     "Network",
     "Node",
     "Packet",
-    "PacketEvent",
     "RoutingTable",
     "TrafficMonitor",
     "best_effort_tree",

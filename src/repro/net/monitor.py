@@ -23,19 +23,9 @@ Series length contract (pinned by ``tests/test_net_monitor.py``):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.binning import BOUNDARY_RTOL, bin_index, n_bins
-
-
-class PacketEvent(NamedTuple):
-    """One observed packet occurrence (used by the observer API)."""
-
-    time: float
-    node: int
-    kind: str
-    size_bytes: int
-    subscriber: bool
 
 
 class TrafficMonitor:
@@ -91,11 +81,10 @@ class TrafficMonitor:
         self._window_hi = (upper - 2.0 * BOUNDARY_RTOL * max(1.0, abs(upper))) * width
         return index
 
-    def on_send(self, event: PacketEvent) -> None:
+    def on_send(self, time: float, node: int, kind: str, size_bytes: int) -> None:
         """Record a packet's first transmission by its originator."""
-        self.sends[event.kind] = self.sends.get(event.kind, 0) + 1
-        key = (event.kind, event.node)
-        time = event.time
+        self.sends[kind] = self.sends.get(kind, 0) + 1
+        key = (kind, node)
         if self._window_lo <= time < self._window_hi:
             index = self._window_index
         else:
@@ -103,41 +92,38 @@ class TrafficMonitor:
         bins = self._send_bins.setdefault(key, {})
         bins[index] = bins.get(index, 0) + 1
 
-    def on_receive(self, event: PacketEvent) -> None:
+    def on_receive(self, time: float, node: int, kind: str, size_bytes: int) -> None:
         """Record a packet arrival at a group subscriber — "traffic visible
-        at each session member"; routers merely forwarding are excluded."""
-        if not event.subscriber:
-            return
-        key = (event.kind, event.node)
+        at each session member".  The network reports subscriber arrivals
+        only; routers merely forwarding never reach here."""
+        key = (kind, node)
         record = self._stats.get(key)
         if record is None:
             record = self._stats[key] = [{}, 0, 0]
         bins = record[0]
-        time = event.time
         if self._window_lo <= time < self._window_hi:
             index = self._window_index
         else:
             index = self._enter_bin(time)
         bins[index] = bins.get(index, 0) + 1
         record[1] += 1
-        record[2] += event.size_bytes
+        record[2] += size_bytes
 
-    def on_drop(self, event: PacketEvent) -> None:
-        """Record a packet lost on its way to ``event.node``."""
+    def on_drop(self, time: float, node: int, kind: str, size_bytes: int) -> None:
+        """Record a packet lost on its way to ``node``."""
         self.drops += 1
-        key = (event.kind, event.node)
+        key = (kind, node)
         record = self._drop_stats.get(key)
         if record is None:
             record = self._drop_stats[key] = [{}, 0, 0]
         bins = record[0]
-        time = event.time
         if self._window_lo <= time < self._window_hi:
             index = self._window_index
         else:
             index = self._enter_bin(time)
         bins[index] = bins.get(index, 0) + 1
         record[1] += 1
-        record[2] += event.size_bytes
+        record[2] += size_bytes
 
     def record_bulk(
         self,

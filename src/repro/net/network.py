@@ -30,7 +30,6 @@ from typing import (
 
 from repro.errors import RoutingError, ScopeError, TopologyError
 from repro.net.link import Link
-from repro.net.monitor import PacketEvent
 from repro.net.multicast import MulticastGroup
 from repro.net.node import DeliveryHandler, Node
 from repro.net.packet import Packet
@@ -68,6 +67,9 @@ class Network:
         self._obs_send: tuple = ()
         self._obs_receive: tuple = ()
         self._obs_drop: tuple = ()
+        # The simulator never replaces its queue, so the arrival scheduler
+        # is bound once rather than looked up per hop.
+        self._push_call = sim.queue.push_call
         self._loss_rng = sim.rng.stream("net.loss")
         self._loss_random = self._loss_rng.random
         # Memoized tracer interest flags, refreshed when the tracer's
@@ -450,7 +452,14 @@ class Network:
     # --------------------------------------------------------------- observers
 
     def add_observer(self, observer: object) -> None:
-        """Attach a traffic observer (``on_send`` / ``on_receive`` / ``on_drop``)."""
+        """Attach a traffic observer.
+
+        Each of ``on_send`` / ``on_receive`` / ``on_drop`` the observer
+        defines is called as ``(time, node, kind, size_bytes)``.  Sends are
+        first transmissions by the originator; receives are arrivals at a
+        group subscriber only (routers merely forwarding are not reported);
+        drops name the node the packet would have reached.
+        """
         self._observers.append(observer)
         self._rebuild_observer_cache()
 
@@ -488,10 +497,8 @@ class Network:
                 self.sim.tracer.emit(self.sim.now, "pkt.stifled", src, packet)
             return
         record = self._schedule_for(src, group)
-        if self._obs_send:
-            event = PacketEvent(self.sim.now, src, packet.kind, packet.size_bytes, True)
-            for callback in self._obs_send:
-                callback(event)
+        for callback in self._obs_send:
+            callback(self.sim.now, src, packet.kind, packet.size_bytes)
         if self._t_send:
             self.sim.tracer.emit(self.sim.now, "pkt.send", src, packet)
         self._forward_fast(record, packet)
@@ -553,10 +560,10 @@ class Network:
         kids = record[3]
         if not kids:
             return
-        now = self.sim._now
+        now = self.sim.now
         size = packet.size_bytes
         obs_drop = self._obs_drop
-        push_call = self.sim.queue.push_call
+        push_call = self._push_call
         arrive = self._arrive_fast
         loss_random = self._loss_random
         exempt = packet.loss_exempt
@@ -579,10 +586,8 @@ class Network:
                 dropped = self._drops(link, packet)
             if dropped:
                 link.packets_dropped += 1
-                if obs_drop:
-                    event = PacketEvent(now, child_record[0], packet.kind, size, False)
-                    for callback in obs_drop:
-                        callback(event)
+                for callback in obs_drop:
+                    callback(now, child_record[0], packet.kind, size)
                 if self._t_drop:
                     self.sim.tracer.emit(now, "pkt.drop", child_record[0], packet)
                 continue
@@ -601,10 +606,8 @@ class Network:
             else:
                 arrival = link.transmit(now, size)
                 if arrival is None:  # drop-tail queue overflow
-                    if obs_drop:
-                        event = PacketEvent(now, child_record[0], packet.kind, size, False)
-                        for callback in obs_drop:
-                            callback(event)
+                    for callback in obs_drop:
+                        callback(now, child_record[0], packet.kind, size)
                     if self._t_qdrop:
                         self.sim.tracer.emit(now, "pkt.qdrop", child_record[0], packet)
                     continue
@@ -619,26 +622,20 @@ class Network:
     def _arrive_fast(self, packet: Packet, record: tuple) -> None:
         node_id, node, group, kids = record
         sim = self.sim
-        now = sim._now  # arrival fires at its scheduled time; skip the property
+        now = sim.now
         if sim.tracer.version != self._trace_version:
             self._refresh_trace_flags()
         if not node.up:
             # The packet reached a crashed node: neither delivered to local
             # handlers nor forwarded into the subtree below.
-            if self._obs_drop:
-                event = PacketEvent(now, node_id, packet.kind, packet.size_bytes, False)
-                for callback in self._obs_drop:
-                    callback(event)
+            for callback in self._obs_drop:
+                callback(now, node_id, packet.kind, packet.size_bytes)
             if self._t_nodedrop:
                 sim.tracer.emit(now, "pkt.nodedrop", node_id, packet)
             return
-        is_subscriber = node_id in group.subscribers
-        obs_receive = self._obs_receive
-        if obs_receive:
-            event = PacketEvent(now, node_id, packet.kind, packet.size_bytes, is_subscriber)
-            for callback in obs_receive:
-                callback(event)
-        if is_subscriber:
+        if node_id in group.subscribers:
+            for callback in self._obs_receive:
+                callback(now, node_id, packet.kind, packet.size_bytes)
             if self._t_recv:
                 sim.tracer.emit(now, "pkt.recv", node_id, packet)
             # Inlined node.deliver(): the handler tuples are copy-on-write,

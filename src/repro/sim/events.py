@@ -88,8 +88,7 @@ class EventQueue:
     Heap entries are ``(time, seq, event)`` tuples.  An entry is *live* iff
     the event is not cancelled and the entry's seq matches ``event.seq``
     (reschedules orphan their old entry by bumping the event's seq).
-    ``peek_time`` reports the time of the next live event, which the
-    scheduler uses to decide whether the run horizon has been reached.
+    ``Simulator.run`` pops the heap directly under the same rules.
     """
 
     def __init__(self) -> None:
@@ -183,15 +182,18 @@ class EventQueue:
     def _compact(self) -> None:
         """Sweep tombstones: rebuild the heap from live entries only.
 
-        Handle-free ``push_call`` entries (length 4) are always live.
+        Handle-free ``push_call`` entries (length 4) are always live.  The
+        list is refilled in place: ``Simulator.run`` holds a reference to it
+        while a callback may be cancelling (and so compacting).
         """
-        self._heap = [
+        heap = self._heap
+        heap[:] = [
             entry
-            for entry in self._heap
+            for entry in heap
             if len(entry) == 4
             or (entry[2].seq == entry[1] and not entry[2].cancelled)
         ]
-        heapq.heapify(self._heap)
+        heapq.heapify(heap)
         self._dead = 0
 
     def pop(self) -> Optional[Event]:
@@ -213,38 +215,6 @@ class EventQueue:
             event.fired = True
             self._live -= 1
             return event
-        return None
-
-    def pop_next(self, until: Optional[float] = None) -> Optional[Tuple[Any, ...]]:
-        """Pop the next live event as a tuple ending in ``callback, args``.
-
-        The caller reads ``item[0]`` (time), ``item[-2]`` (callback) and
-        ``item[-1]`` (args): handle-free entries are returned as-is (no
-        tuple allocation on the bulk path) while Event entries yield a
-        fresh ``(time, callback, args)`` triple.  Returns ``None`` both
-        when the queue is empty and when the next live event lies beyond
-        the horizon ``until`` (which is then left in place).
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if len(entry) == 3:
-                time, seq, event = entry
-                if event.seq != seq or event.cancelled:
-                    heapq.heappop(heap)
-                    self._dead -= 1
-                    continue
-                if until is not None and time > until:
-                    return None
-                heapq.heappop(heap)
-                event.fired = True
-                self._live -= 1
-                return (time, event.callback, event.args)
-            if until is not None and entry[0] > until:
-                return None
-            heapq.heappop(heap)
-            self._live -= 1
-            return entry
         return None
 
     def peek_time(self) -> Optional[float]:

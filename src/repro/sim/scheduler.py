@@ -7,7 +7,9 @@ in time order until the horizon or until the queue empties.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+import math
+from heapq import heappop
+from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RngRegistry
@@ -22,7 +24,9 @@ class Simulator:
     """Discrete-event simulator with a floating-point clock in seconds."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds.  A plain attribute, read once
+        #: per event by the hot paths; only run/step/reset write it.
+        self.now = 0.0
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
@@ -31,11 +35,6 @@ class Simulator:
         self._events_fired = 0
 
     # ------------------------------------------------------------------ clock
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -63,12 +62,12 @@ class Simulator:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push(self._now + delay, callback, args)
+        return self._queue.push(self.now + delay, callback, args)
 
     def at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time!r}, now is {self._now!r}")
+        if time < self.now:
+            raise SimulationError(f"cannot schedule at {time!r}, now is {self.now!r}")
         return self._queue.push(time, callback, args)
 
     def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
@@ -78,8 +77,8 @@ class Simulator:
         consumed either way); hot paths that never cancel use this to skip
         the Event allocation.
         """
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time!r}, now is {self._now!r}")
+        if time < self.now:
+            raise SimulationError(f"cannot schedule at {time!r}, now is {self.now!r}")
         self._queue.push_call(time, callback, args)
 
     def cancel(self, event: Event) -> None:
@@ -95,7 +94,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.reschedule(event, self._now + delay)
+        return self._queue.reschedule(event, self.now + delay)
 
     def rearm(self, event: Event, delay: float) -> Event:
         """Re-arm an already-fired event ``delay`` seconds from now.
@@ -106,7 +105,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.rearm_fired(event, self._now + delay)
+        return self._queue.rearm_fired(event, self.now + delay)
 
     # ------------------------------------------------------------------- run
 
@@ -126,24 +125,44 @@ class Simulator:
         self._running = True
         self._stopped = False
         fired = 0
-        # The loop is the simulator's hottest path: one fused pop per event
-        # (no separate peek), locals bound outside the loop.
-        pop_next = self._queue.pop_next
+        # The simulator's hottest loop pops the queue's heap itself, under
+        # EventQueue.pop's liveness rules and live/dead accounting.
+        # Compaction refills the heap list in place, so this reference stays
+        # valid across callbacks.
+        queue = self._queue
+        heap = queue._heap
+        horizon = math.inf if until is None else until
         try:
-            while not self._stopped:
-                item = pop_next(until)
-                if item is None:
-                    break
-                self._now = item[0]
-                item[-2](*item[-1])
+            while heap and not self._stopped:
+                entry = heap[0]
+                if len(entry) == 4:
+                    if entry[0] > horizon:
+                        break
+                    heappop(heap)
+                    queue._live -= 1
+                    self.now = entry[0]
+                    entry[2](*entry[3])
+                else:
+                    time, seq, event = entry
+                    if event.seq != seq or event.cancelled:
+                        heappop(heap)
+                        queue._dead -= 1
+                        continue
+                    if time > horizon:
+                        break
+                    heappop(heap)
+                    event.fired = True
+                    queue._live -= 1
+                    self.now = time
+                    event.callback(*event.args)
                 fired += 1
                 if max_events is not None and fired >= max_events:
                     self._events_fired += fired
                     fired = 0
                     raise SimulationError(f"exceeded max_events={max_events}")
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
-            return self._now
+            if until is not None and not self._stopped and self.now < until:
+                self.now = until
+            return self.now
         finally:
             self._events_fired += fired
             self._running = False
@@ -157,7 +176,7 @@ class Simulator:
         event = self._queue.pop()
         if event is None:
             return False
-        self._now = event.time
+        self.now = event.time
         event.fire()
         self._events_fired += 1
         return True
@@ -165,7 +184,7 @@ class Simulator:
     def reset(self, seed: Optional[int] = None) -> None:
         """Clear all pending events and rewind the clock to zero."""
         self._queue.clear()
-        self._now = 0.0
+        self.now = 0.0
         self._events_fired = 0
         if seed is not None:
             self.rng = RngRegistry(seed)

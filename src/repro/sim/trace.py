@@ -63,17 +63,11 @@ class Tracer:
         self._listeners: Dict[str, Tuple[Listener, ...]] = {}
         self._any: Tuple[Listener, ...] = ()
         self._enabled = True
-        self._version = 0
+        #: Bumped on every subscription-table or enable/disable change.
+        #: Callers caching :meth:`wants` answers compare it to decide when
+        #: to refresh.  A plain attribute: hot paths read it per packet.
+        self.version = 0
         self._wants_memo: Dict[str, bool] = {}
-
-    @property
-    def version(self) -> int:
-        """Bumped on every subscription-table or enable/disable change.
-
-        Callers caching :meth:`wants` answers compare this to decide when
-        to refresh.
-        """
-        return self._version
 
     @property
     def enabled(self) -> bool:
@@ -88,7 +82,7 @@ class Tracer:
             self._bump()
 
     def _bump(self) -> None:
-        self._version += 1
+        self.version += 1
         self._wants_memo.clear()
 
     def subscribe(self, category: Optional[str], listener: Listener) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import PACKET_SIZE, SharqfecConfig
+from repro.core.config import MAX_IDENTITY, PACKET_SIZE, SharqfecConfig
 from repro.core.pdus import DataPdu, FecPdu, NackPdu
 from repro.core.protocol import SharqfecProtocol
 from repro.net.network import Network
@@ -165,6 +165,46 @@ def test_nack_highest_updates_identity_allocation():
     complete_group(agent, cfg)
     agent.handle_nack(nack_pdu(proto, za.zone_id, highest=25))
     assert agent.groups[0].highest_known == 25
+
+
+def _fec_sent_by(net, node):
+    """Spy on ``net.multicast``; returns the list of FEC PDUs ``node`` sends."""
+    sent = []
+    original = net.multicast
+
+    def spy(src, pkt):
+        if isinstance(pkt, FecPdu) and src == node:
+            sent.append(pkt)
+        return original(src, pkt)
+
+    net.multicast = spy
+    return sent
+
+
+def test_repairer_stays_silent_once_a_peer_announces_the_last_identity():
+    """With identity MAX_IDENTITY announced there is none left to allocate:
+    the reply timer must not try (that raised CodecError out of sim.run)."""
+    sim, net, proto, root, za, cfg = build()
+    agent = proto.receivers[2]
+    complete_group(agent, cfg)
+    sent = _fec_sent_by(net, 2)
+    agent.handle_nack(nack_pdu(proto, za.zone_id, n_needed=1, highest=MAX_IDENTITY))
+    sim.run(until=0.15)
+    assert sent == []
+    assert agent.groups[0].highest_known == MAX_IDENTITY
+
+
+def test_source_injection_stays_silent_once_the_last_identity_is_known():
+    sim, net, proto, root, za, cfg = build()
+    sender = proto.sender
+    sender.predictor(root.zone_id).update(8)  # predict 2 packets
+    sent = _fec_sent_by(net, 0)
+    state = sender.group_state(0)
+    state.note_highest(MAX_IDENTITY)
+    sender._enter_repair_phase(state)
+    assert state.outstanding[root.zone_id] == 2
+    sim.run(until=1.0)
+    assert sent == []
 
 
 def test_scope_escalation_after_two_attempts():

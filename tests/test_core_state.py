@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import MAX_IDENTITY
 from repro.core.state import GroupState
 from repro.errors import CodecError
+from repro.testing import property_max_examples
 
 ZONES = [10, 11, 12]  # smallest -> root
 
@@ -47,6 +50,48 @@ def test_llc_counts_only_detected_losses():
     # Re-counting the same gap adds nothing.
     assert s.count_data_losses_before(3) == 0
     assert s.llc == 2
+
+
+def rescan_losses_before(indices, counted_lost, k, index):
+    """The full rescan loss detection once was: every data index below
+    ``index`` that never arrived and is not yet counted becomes lost."""
+    new = 0
+    for j in range(min(index, k)):
+        if j not in indices and j not in counted_lost:
+            counted_lost.add(j)
+            new += 1
+    return new
+
+
+@st.composite
+def _intake(draw):
+    """A group shape and an interleaving of arrivals and loss scans."""
+    k = draw(st.integers(1, 32))
+    r = draw(st.integers(0, 16))
+    op = st.one_of(
+        st.tuples(st.just("record"), st.integers(0, k + r)),
+        st.tuples(st.just("count"), st.integers(0, k + r)),
+        st.just(("finalize", k)),
+    )
+    return k, draw(st.lists(op, max_size=60))
+
+
+@settings(max_examples=property_max_examples(100), deadline=None)
+@given(_intake())
+def test_loss_watermark_matches_a_full_rescan(case):
+    k, ops = case
+    s = make_state(k)
+    indices, counted_lost = set(), set()
+    for op, i in ops:
+        if op == "record":
+            assert s.record_index(i) == (i not in indices)
+            indices.add(i)
+            continue
+        expected = rescan_losses_before(indices, counted_lost, k, i)
+        got = s.finalize_data_losses() if op == "finalize" else s.count_data_losses_before(i)
+        assert got == expected
+        assert s.counted_lost == counted_lost
+        assert s.llc == len(counted_lost)
 
 
 def test_finalize_counts_tail_losses():

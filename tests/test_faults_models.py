@@ -141,7 +141,7 @@ def test_exempt_packets_advance_model_state():
     """
     sim, net, model = burst_net()
     exempt = Packet("SESSION", 0, -1, 100, loss_exempt=True)
-    sim._now = 1.0
+    sim.now = 1.0
     dropped = net._drops(net.link(0, 1), exempt)
     assert not dropped, "exempt packets never suffer model loss on an up link"
     assert model._slot == 100, "the crossing must advance the chain to now"
@@ -157,7 +157,7 @@ def test_drop_pattern_unchanged_by_interleaved_exempt_traffic():
         session = Packet("SESSION", 0, -1, 100, loss_exempt=True)
         decisions = []
         for i in range(400):
-            sim._now = 0.005 * i
+            sim.now = 0.005 * i
             if with_session and i % 3 == 0:
                 assert not net._drops(link, session)
             decisions.append(net._drops(link, data))

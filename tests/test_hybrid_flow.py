@@ -21,7 +21,7 @@ from repro.core.config import SharqfecConfig
 from repro.testing import property_max_examples
 from repro.core.protocol import SharqfecProtocol
 from repro.hybrid import HybridSharqfecProtocol
-from repro.net.monitor import PacketEvent, TrafficMonitor
+from repro.net.monitor import TrafficMonitor
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
 from repro.topology.figure10 import build_figure10
@@ -60,7 +60,7 @@ def test_record_bulk_matches_per_packet(mask, t_base, dt, direction):
     }[direction]
     for i in range(mask.bit_length()):
         if mask >> i & 1:
-            handler(PacketEvent(t_base + i * dt, 7, "DATA", 1024, True))
+            handler(t_base + i * dt, 7, "DATA", 1024)
     assert _dump(bulk) == _dump(per_packet)
 
 

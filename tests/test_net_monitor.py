@@ -8,40 +8,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.monitor import PacketEvent, TrafficMonitor
+from repro.net.monitor import TrafficMonitor
 from repro.obs.binning import BOUNDARY_RTOL, bin_index
 
 
-def ev(time, node, kind="DATA", size=1000, subscriber=True):
-    return PacketEvent(time, node, kind, size, subscriber)
+def ev(time, node, kind="DATA", size=1000):
+    """The observer arguments ``(time, node, kind, size_bytes)``."""
+    return time, node, kind, size
 
 
 def test_bins_accumulate_per_interval():
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(0.01, 1))
-    mon.on_receive(ev(0.09, 1))
-    mon.on_receive(ev(0.15, 1))
+    mon.on_receive(*ev(0.01, 1))
+    mon.on_receive(*ev(0.09, 1))
+    mon.on_receive(*ev(0.15, 1))
     assert mon.series(["DATA"], 1) == [2, 1]
-
-
-def test_non_subscriber_arrivals_excluded_by_default():
-    mon = TrafficMonitor()
-    mon.on_receive(ev(0.0, 1, subscriber=False))
-    assert mon.total(["DATA"]) == 0
 
 
 def test_series_merges_kinds():
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(0.05, 1, kind="DATA"))
-    mon.on_receive(ev(0.05, 1, kind="FEC"))
-    mon.on_receive(ev(0.05, 1, kind="NACK"))
+    mon.on_receive(*ev(0.05, 1, kind="DATA"))
+    mon.on_receive(*ev(0.05, 1, kind="FEC"))
+    mon.on_receive(*ev(0.05, 1, kind="NACK"))
     assert mon.series(["DATA", "FEC"], 1) == [2]
     assert mon.series(["NACK"], 1) == [1]
 
 
 def test_series_pads_to_t_end():
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(0.05, 1))
+    mon.on_receive(*ev(0.05, 1))
     assert mon.series(["DATA"], 1, t_end=0.5) == [1, 0, 0, 0, 0]
 
 
@@ -53,17 +48,17 @@ def test_empty_series():
 
 def test_mean_series_averages_over_nodes():
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(0.05, 1))
-    mon.on_receive(ev(0.05, 1))
-    mon.on_receive(ev(0.05, 2))
+    mon.on_receive(*ev(0.05, 1))
+    mon.on_receive(*ev(0.05, 1))
+    mon.on_receive(*ev(0.05, 2))
     assert mon.mean_series(["DATA"], [1, 2]) == [1.5]
     assert mon.mean_series(["DATA"], []) == []
 
 
 def test_totals_and_bytes():
     mon = TrafficMonitor()
-    mon.on_receive(ev(0.0, 1, size=100))
-    mon.on_receive(ev(0.0, 2, size=200))
+    mon.on_receive(*ev(0.0, 1, size=100))
+    mon.on_receive(*ev(0.0, 2, size=200))
     assert mon.total(["DATA"]) == 2
     assert mon.total(["DATA"], node=2) == 1
     assert mon.total_bytes(["DATA"]) == 300
@@ -72,9 +67,9 @@ def test_totals_and_bytes():
 
 def test_sends_and_drops_counted():
     mon = TrafficMonitor()
-    mon.on_send(ev(0.0, 0, kind="NACK"))
-    mon.on_send(ev(0.0, 0, kind="NACK"))
-    mon.on_drop(ev(0.0, 1))
+    mon.on_send(*ev(0.0, 0, kind="NACK"))
+    mon.on_send(*ev(0.0, 0, kind="NACK"))
+    mon.on_drop(*ev(0.0, 1))
     assert mon.sends == {"NACK": 2}
     assert mon.drops == 1
 
@@ -96,7 +91,7 @@ def test_boundary_arrival_lands_in_its_own_bin():
     """
     mon = TrafficMonitor(bin_width=0.1)
     for k in range(1, 50):
-        mon.on_receive(ev(k * 0.1, 1))
+        mon.on_receive(*ev(k * 0.1, 1))
     series = mon.series(["DATA"], 1)
     assert series[0] == 0
     assert series[1:] == [1] * 49
@@ -106,21 +101,21 @@ def test_boundary_arrival_from_accumulated_time():
     # 0.1 + 0.1 + 0.1 != 0.3 exactly, but is within rounding of bin 3.
     t = 0.1 + 0.1 + 0.1
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(t, 1))
+    mon.on_receive(*ev(t, 1))
     assert mon.series(["DATA"], 1) == [0, 0, 0, 1]
 
 
 def test_interior_arrivals_unaffected_by_boundary_snap():
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(0.299, 1))
-    mon.on_receive(ev(0.301, 1))
+    mon.on_receive(*ev(0.299, 1))
+    mon.on_receive(*ev(0.301, 1))
     assert mon.series(["DATA"], 1) == [0, 0, 1, 1]
 
 
 def test_send_and_drop_use_same_binning():
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_send(ev(0.3, 1))
-    mon.on_drop(ev(0.3, 1))
+    mon.on_send(*ev(0.3, 1))
+    mon.on_drop(*ev(0.3, 1))
     assert mon.send_series(["DATA"], 1) == [0, 0, 0, 1]
     assert dict(mon.drop_records())[("DATA", 1)][0] == {3: 1}
 
@@ -180,7 +175,7 @@ def test_windowed_binning_equals_bin_index(case, method):
     mon = TrafficMonitor(bin_width=width)
     expected = {}
     for t in times:
-        getattr(mon, method)(ev(t, 1))
+        getattr(mon, method)(*ev(t, 1))
         index = bin_index(t, width)
         expected[index] = expected.get(index, 0) + 1
     records = {
@@ -195,10 +190,10 @@ def test_window_is_shared_across_send_receive_and_drop():
     # One window serves all three observer methods: each must still land
     # in its own event's bin when they interleave across a boundary.
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(0.25, 1))
-    mon.on_send(ev(0.35, 1))
-    mon.on_drop(ev(0.25, 1))
-    mon.on_receive(ev(0.3, 1))
+    mon.on_receive(*ev(0.25, 1))
+    mon.on_send(*ev(0.35, 1))
+    mon.on_drop(*ev(0.25, 1))
+    mon.on_receive(*ev(0.3, 1))
     assert mon.series(["DATA"], 1) == [0, 0, 1, 1]
     assert mon.send_series(["DATA"], 1) == [0, 0, 0, 1]
     assert dict(mon.drop_records())[("DATA", 1)][0] == {2: 1}
@@ -213,8 +208,8 @@ def test_window_margin_scales_with_time():
     assert bin_index(inside, width) == k  # premise: it snaps up
     assert math.floor(inside / width) == k - 1  # ... though it floors down
     mon = TrafficMonitor(bin_width=width)
-    mon.on_receive(ev((k - 0.5) * width, 1))
-    mon.on_receive(ev(inside, 1))
+    mon.on_receive(*ev((k - 0.5) * width, 1))
+    mon.on_receive(*ev(inside, 1))
     assert dict(mon.receive_records())[("DATA", 1)][0] == {k - 1: 1, k: 1}
 
 
@@ -222,9 +217,9 @@ def test_record_bulk_is_bin_exact_beside_the_window():
     # record_bulk goes through bin_index per packet and neither reads nor
     # moves the per-packet window.
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(0.25, 1))
+    mon.on_receive(*ev(0.25, 1))
     mon.record_bulk("recv", "DATA", 1, 0.0, 0.1, 0b1111, 1000)  # t = 0, .1, .2, .3
-    mon.on_receive(ev(0.26, 1))
+    mon.on_receive(*ev(0.26, 1))
     assert mon.series(["DATA"], 1) == [1, 1, 3, 1]
 
 
@@ -253,7 +248,7 @@ def test_empty_series_contract():
 
 def test_series_extends_past_t_end_when_data_does():
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(0.55, 1))
+    mon.on_receive(*ev(0.55, 1))
     assert mon.series(["DATA"], 1, t_end=0.2) == [0, 0, 0, 0, 0, 1]
 
 
@@ -262,9 +257,9 @@ def test_series_extends_past_t_end_when_data_does():
 
 def test_drops_binned_per_kind_and_node():
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_drop(ev(0.05, 1, kind="DATA"))
-    mon.on_drop(ev(0.05, 1, kind="FEC"))
-    mon.on_drop(ev(0.15, 2, kind="DATA"))
+    mon.on_drop(*ev(0.05, 1, kind="DATA"))
+    mon.on_drop(*ev(0.05, 1, kind="FEC"))
+    mon.on_drop(*ev(0.15, 2, kind="DATA"))
     # Aggregate stays backward compatible.
     assert mon.drops == 3
     assert dict(mon.drop_records()) == {
@@ -279,10 +274,10 @@ def test_drops_binned_per_kind_and_node():
 
 def test_load_record_round_trips_every_series():
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(ev(0.05, 1, kind="DATA", size=100))
-    mon.on_receive(ev(0.3, 1, kind="FEC", size=50))
-    mon.on_send(ev(0.1, 0, kind="NACK"))
-    mon.on_drop(ev(0.2, 2, kind="DATA"))
+    mon.on_receive(*ev(0.05, 1, kind="DATA", size=100))
+    mon.on_receive(*ev(0.3, 1, kind="FEC", size=50))
+    mon.on_send(*ev(0.1, 0, kind="NACK"))
+    mon.on_drop(*ev(0.2, 2, kind="DATA"))
 
     rebuilt = TrafficMonitor(bin_width=0.1)
     for (kind, node), (bins, packets, nbytes) in mon.receive_records():

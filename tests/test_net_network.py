@@ -176,6 +176,43 @@ def test_monitor_observes_arrivals(tree_net):
     assert monitor.sends == {"DATA": 1}
 
 
+class _CallRecorder:
+    """An observer that keeps how each of its methods was called."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_send(self, *args, **kwargs):
+        self.calls.append(("send", args, kwargs))
+
+    def on_receive(self, *args, **kwargs):
+        self.calls.append(("receive", args, kwargs))
+
+    def on_drop(self, *args, **kwargs):
+        self.calls.append(("drop", args, kwargs))
+
+
+def test_observers_get_positional_arguments_and_subscriber_arrivals_only(tree_net):
+    net = tree_net
+    recorder = _CallRecorder()
+    net.add_observer(recorder)
+    group = net.create_group("g")
+    for n in (3, 5):
+        net.subscribe(group.group_id, n, lambda p: None)
+    net.set_link_loss(2, 5, 1.0)
+    net.multicast(0, Packet("DATA", 0, group.group_id, 1000))
+    net.sim.run()
+    hop = 0.020 + 1000 * 8 / 10e6
+    # Routers 1 and 2 forward the packet but are not subscribers, so the
+    # network reports no arrival at them; subscriber 3 is reported, and
+    # subscriber 5 sees a drop on the router's outgoing link.
+    assert recorder.calls == [
+        ("send", (0.0, 0, "DATA", 1000), {}),
+        ("drop", (pytest.approx(hop), 5, "DATA", 1000), {}),
+        ("receive", (pytest.approx(2 * hop), 3, "DATA", 1000), {}),
+    ]
+
+
 def test_true_rtt_and_path_loss(line_net):
     net = line_net
     assert net.true_rtt(0, 3) == pytest.approx(0.06)

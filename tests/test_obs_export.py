@@ -27,7 +27,7 @@ from repro.obs.export import (
     export_metrics,
     git_revision,
 )
-from repro.net.monitor import PacketEvent, TrafficMonitor
+from repro.net.monitor import TrafficMonitor
 
 N_PACKETS = 12
 SEED = 5
@@ -155,8 +155,8 @@ def test_loader_rejects_bad_files(tmp_path):
 def test_export_metrics_standalone_monitor(tmp_path):
     """export_metrics works without a registry (monitor-only round trip)."""
     mon = TrafficMonitor(bin_width=0.1)
-    mon.on_receive(PacketEvent(0.3, 1, "DATA", 1000, True))
-    mon.on_drop(PacketEvent(0.4, 2, "FEC", 500, True))
+    mon.on_receive(0.3, 1, "DATA", 1000)
+    mon.on_drop(0.4, 2, "FEC", 500)
     path = str(tmp_path / "m.jsonl")
     export_metrics(
         path,

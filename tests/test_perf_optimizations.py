@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import ScopeError
 from repro.faults.models import GilbertElliott
-from repro.net.monitor import PacketEvent, TrafficMonitor
+from repro.net.monitor import TrafficMonitor
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.sim.events import COMPACT_MIN_DEAD, EventQueue
@@ -229,11 +229,11 @@ def test_tracer_wants_tracks_subscriptions_and_enabled():
 # --------------------------------------------- forwarding path equivalence
 
 
-def _notify(net: Network, method: str, event: PacketEvent) -> None:
+def _notify(net: Network, method: str, *args) -> None:
     for observer in net._observers:
         callback = getattr(observer, method, None)
         if callback is not None:
-            callback(event)
+            callback(*args)
 
 
 def reference_multicast(net: Network, src: int, packet: Packet) -> None:
@@ -255,7 +255,7 @@ def reference_multicast(net: Network, src: int, packet: Packet) -> None:
         node, _, _, kids = stack.pop()
         children[node] = [child[0] for _, child in kids]
         stack.extend(child for _, child in kids)
-    _notify(net, "on_send", PacketEvent(net.sim.now, src, packet.kind, packet.size_bytes, True))
+    _notify(net, "on_send", net.sim.now, src, packet.kind, packet.size_bytes)
     net.sim.tracer.emit(net.sim.now, "pkt.send", src, packet)
     _forward_hops(net, children, src, packet)
 
@@ -273,19 +273,18 @@ def _forward_hops(net: Network, children: dict, node: int, packet: Packet) -> No
                 net.sim.at(arrival, _arrive_multicast, net, packet, children, child)
                 continue
             category = "pkt.qdrop"  # drop-tail queue overflow
-        _notify(net, "on_drop", PacketEvent(now, child, packet.kind, packet.size_bytes, False))
+        _notify(net, "on_drop", now, child, packet.kind, packet.size_bytes)
         net.sim.tracer.emit(now, category, child, packet)
 
 
 def _arrive_multicast(net: Network, packet: Packet, children: dict, node: int) -> None:
     now = net.sim.now
     if not net.nodes[node].up:
-        _notify(net, "on_drop", PacketEvent(now, node, packet.kind, packet.size_bytes, False))
+        _notify(net, "on_drop", now, node, packet.kind, packet.size_bytes)
         net.sim.tracer.emit(now, "pkt.nodedrop", node, packet)
         return
-    is_subscriber = node in net.groups[packet.group].subscribers
-    _notify(net, "on_receive", PacketEvent(now, node, packet.kind, packet.size_bytes, is_subscriber))
-    if is_subscriber:
+    if node in net.groups[packet.group].subscribers:
+        _notify(net, "on_receive", now, node, packet.kind, packet.size_bytes)
         net.sim.tracer.emit(now, "pkt.recv", node, packet)
         net.nodes[node].deliver(packet)
     _forward_hops(net, children, node, packet)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.sim.events import COMPACT_MIN_DEAD
 from repro.sim.scheduler import SimulationError, Simulator
+from repro.testing import property_max_examples
 
 
 def test_clock_advances_with_events():
@@ -128,3 +132,69 @@ def test_run_until_advances_clock_even_when_idle():
     end = sim.run(until=7.0)
     assert end == 7.0
     assert sim.now == 7.0
+
+
+@settings(max_examples=property_max_examples(40), deadline=None)
+@given(
+    early=st.lists(st.floats(0.0, 10.0), max_size=20),
+    doomed=st.lists(
+        st.floats(1.0, 10.0, exclude_min=True),
+        min_size=2 * COMPACT_MIN_DEAD,
+        max_size=3 * COMPACT_MIN_DEAD,
+    ),
+    late=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20),
+    horizon=st.one_of(st.none(), st.floats(0.0, 20.0)),
+    data=st.data(),
+)
+def test_compaction_inside_a_callback_keeps_the_run_whole(early, doomed, late, horizon, data):
+    """A callback at t=1 cancels enough timers to compact the queue, then
+    schedules more.  The run loop holds the heap list across callbacks, so
+    compaction must refill that list in place: every live event still
+    fires in (time, seq) order and ``pending`` stays exact throughout."""
+    sim = Simulator()
+    fired = []
+    expected = {}  # label -> (time, seq) of every event that must fire
+    compactions = []
+    compact = sim.queue._compact
+
+    def counting_compact():
+        compactions.append(sim.now)
+        compact()
+
+    sim.queue._compact = counting_compact
+
+    def schedule(delay, label):
+        event = sim.schedule(delay, fired.append, label)
+        expected[label] = (event.time, event.seq)
+        return event
+
+    for i, delay in enumerate(early):
+        schedule(delay, ("early", i))
+    doomed_events = [schedule(delay, ("doomed", i)) for i, delay in enumerate(doomed)]
+    keep = data.draw(st.sets(st.integers(0, len(doomed) - 1), max_size=len(doomed) // 4))
+
+    def purge():
+        for i, event in enumerate(doomed_events):
+            if i not in keep:
+                sim.cancel(event)
+                del expected[("doomed", i)]
+        assert compactions, "the cancels must compact mid-run"
+        for i, delay in enumerate(late):
+            schedule(delay, ("late", i))
+        assert sim.pending == len(expected) - len(fired)
+
+    sim.schedule(1.0, purge)
+
+    def in_order():
+        return [label for _, label in sorted((when, label) for label, when in expected.items())]
+
+    if horizon is not None:
+        sim.run(until=horizon)
+        before = [label for label in in_order() if expected[label][0] <= horizon]
+        assert fired == before
+        purge_pending = horizon < 1.0
+        assert sim.pending == len(expected) - len(before) + purge_pending
+    sim.run()
+    assert fired == in_order()
+    assert sim.pending == 0
+    assert sim.queue.heap_size == 0 and sim.queue.tombstones == 0
