@@ -73,7 +73,7 @@ class SharqfecEndpoint:
         self._predictors: Dict[int, EwmaPredictor] = {}
         self._zlc_sampled: Set[Tuple[int, int]] = set()
         self._last_nack_dist: Dict[Tuple[int, int], float] = {}
-        self._reply_rng = clock.rng.stream(f"sharqfec.reply.{node_id}")
+        self._reply_rng = None  # built on the first draw
         self._joined = False
         self._stopped = False
         # Session-channel dispatch by exact PDU type (the hot path; none of
@@ -406,7 +406,10 @@ class SharqfecEndpoint:
         if self._is_zone_repair_authority(zone_id):
             timer.restart(0.0)
         else:
-            timer.restart(reply_delay(self._reply_rng, distance))
+            rng = self._reply_rng
+            if rng is None:
+                rng = self._reply_rng = self.clock.rng.stream(f"sharqfec.reply.{self.node_id}")
+            timer.restart(reply_delay(rng, distance))
 
     def _on_reply_timer(self, zone_id: int, group_id: int) -> None:
         state = self.groups.get(group_id)

@@ -48,7 +48,7 @@ from repro.core.config import (
     ZCR_ELECTION_WINDOW, ZCR_LIVENESS_TIMEOUT, ZCR_PDU_SIZE, ZCR_TAKEOVER_MARGIN,
 )
 from repro.core.pdus import ZcrElectPdu
-from repro.sim.timers import Timer
+from repro.sim.timers import TimerTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (zcr imports us)
     from repro.core.zcr import ZcrElection
@@ -91,8 +91,9 @@ class ElectionCoordinator:
         self.transport = zcr.transport
         self.channels = zcr.channels
         self.node_id = zcr.node_id
-        self._rng = self.clock.rng.stream(f"zcrelect.{self.node_id}")
-        # Per non-root chain zone (the electable ones):
+        self._rng = None  # built on the first draw
+        self.electable = zcr.electable
+        # Per electable zone:
         self._rounds: Dict[int, ZoneRound] = {}
         # zone -> computed winners that never produced a takeover.  Cleared
         # on adoption: a node that came back is a candidate again.
@@ -101,38 +102,24 @@ class ElectionCoordinator:
         self._last_belief: Dict[int, Optional[int]] = {}
         # zone -> (suspect time, suspected node) until failover completes.
         self._suspect_at: Dict[int, Tuple[float, int]] = {}
-        self._detectors: Dict[int, Timer] = {}
-        self._resolvers: Dict[int, Timer] = {}
-        self._confirms: Dict[int, Timer] = {}
-        self._retries: Dict[int, Timer] = {}
-        for zone in self.session.chain[:-1]:
-            zid = zone.zone_id
-            self._detectors[zid] = Timer(
-                self.clock, lambda z=zid: self._on_detector(z), name=f"zcrfd@{self.node_id}/{zid}"
-            )
-            self._resolvers[zid] = Timer(
-                self.clock, lambda z=zid: self._on_resolve(z), name=f"zcrres@{self.node_id}/{zid}"
-            )
-            self._confirms[zid] = Timer(
-                self.clock, lambda z=zid: self._on_confirm(z), name=f"zcrcfm@{self.node_id}/{zid}"
-            )
-            self._retries[zid] = Timer(
-                self.clock, lambda z=zid: self._on_retry(z), name=f"zcrrty@{self.node_id}/{zid}"
-            )
+        # Timers, each built when first armed.
+        self._detectors = TimerTable(self.clock, self._on_detector, f"zcrfd@{self.node_id}")
+        self._resolvers = TimerTable(self.clock, self._on_resolve, f"zcrres@{self.node_id}")
+        self._confirms = TimerTable(self.clock, self._on_confirm, f"zcrcfm@{self.node_id}")
+        self._retries = TimerTable(self.clock, self._on_retry, f"zcrrty@{self.node_id}")
 
     # -------------------------------------------------------------- lifecycle
 
     def start(self) -> None:
         """Arm the failure detector on every zone with a known foreign ZCR."""
-        for zid in self._detectors:
+        for zid in self.electable:
             self._last_belief[zid] = self.session.zcr_ids.get(zid)
             self._watch(zid)
 
     def stop(self) -> None:
         """Cancel every pending timer (crash path)."""
         for table in (self._detectors, self._resolvers, self._confirms, self._retries):
-            for timer in table.values():
-                timer.cancel()
+            table.cancel_all()
 
     def reset(self) -> None:
         """Discard all election state (crash-restart path): a revived node
@@ -146,21 +133,26 @@ class ElectionCoordinator:
 
     # ------------------------------------------------------- failure detector
 
+    def _uniform(self, lo: float, hi: float) -> float:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.clock.rng.stream(f"zcrelect.{self.node_id}")
+        return rng.uniform(lo, hi)
+
     def _deadline(self) -> float:
         # Jittered per node so concurrent believers do not all declare the
         # same suspect in the same instant (the first election absorbs the
         # rest as joiners, but staggering keeps announcement traffic low).
-        return ZCR_LIVENESS_TIMEOUT * self._rng.uniform(0.9, 1.2)
+        return ZCR_LIVENESS_TIMEOUT * self._uniform(0.9, 1.2)
 
     def _watch(self, zone_id: int) -> None:
-        timer = self._detectors.get(zone_id)
-        if timer is None:
+        if zone_id not in self.electable:
             return
         believed = self.session.zcr_ids.get(zone_id)
         if believed is None or believed == self.node_id:
-            timer.cancel()
+            self._detectors.cancel(zone_id)
         else:
-            timer.restart(self._deadline())
+            self._detectors[zone_id].restart(self._deadline())
 
     def note_alive(self, zone_id: int) -> None:
         """Liveness evidence for the believed ZCR of ``zone_id`` arrived."""
@@ -168,9 +160,9 @@ class ElectionCoordinator:
             # A round is in flight: let it resolve.  A live incumbent is a
             # candidate in it and wins on distance at the higher epoch.
             return
-        timer = self._detectors.get(zone_id)
-        if timer is not None and self.session.zcr_ids.get(zone_id) not in (None, self.node_id):
-            timer.restart(self._deadline())
+        believed = self.session.zcr_ids.get(zone_id)
+        if zone_id in self.electable and believed not in (None, self.node_id):
+            self._detectors[zone_id].restart(self._deadline())
 
     def _on_detector(self, zone_id: int) -> None:
         believed = self.session.zcr_ids.get(zone_id)
@@ -194,7 +186,7 @@ class ElectionCoordinator:
     def start_election(self, zone_id: int, reason: str) -> None:
         """Open a round above the zone's current epoch (idempotent while a
         round at least that new is already in flight)."""
-        if zone_id not in self._detectors:
+        if zone_id not in self.electable:
             return
         epoch = self.session.zcr_epoch.get(zone_id, 0) + 1
         existing = self._rounds.get(zone_id)
@@ -206,8 +198,8 @@ class ElectionCoordinator:
         now = self.clock.now
         rnd = ZoneRound(epoch, attempt, reason, now)
         self._rounds[zone_id] = rnd
-        self._confirms[zone_id].cancel()
-        self._retries[zone_id].cancel()
+        self._confirms.cancel(zone_id)
+        self._retries.cancel(zone_id)
         tracer = self.clock.tracer
         if tracer.wants("zcr.election"):
             tracer.emit(
@@ -220,7 +212,7 @@ class ElectionCoordinator:
         self._resolvers[zone_id].restart(self._window())
 
     def _window(self) -> float:
-        return ZCR_ELECTION_WINDOW * self._rng.uniform(0.95, 1.05)
+        return ZCR_ELECTION_WINDOW * self._uniform(0.95, 1.05)
 
     def _my_dist(self, zone_id: int) -> float:
         dist = self.zcr.my_dist_to_parent.get(zone_id)
@@ -253,7 +245,7 @@ class ElectionCoordinator:
         """A peer announced candidacy: join/refresh the round, and announce
         ourselves only while we would beat every candidate heard so far."""
         zone_id = pdu.zone_id
-        if zone_id not in self._detectors:
+        if zone_id not in self.electable:
             return
         our_epoch = self.session.zcr_epoch.get(zone_id, 0)
         if pdu.epoch <= our_epoch:
@@ -268,8 +260,8 @@ class ElectionCoordinator:
         if rnd is None or key > (rnd.epoch, rnd.attempt):
             rnd = ZoneRound(pdu.epoch, pdu.attempt, "joined", self.clock.now)
             self._rounds[zone_id] = rnd
-            self._confirms[zone_id].cancel()
-            self._retries[zone_id].cancel()
+            self._confirms.cancel(zone_id)
+            self._retries.cancel(zone_id)
             self._resolvers[zone_id].restart(self._window())
         elif key < (rnd.epoch, rnd.attempt):
             return
@@ -333,7 +325,7 @@ class ElectionCoordinator:
         delay = (
             ZCR_ELECTION_RETRY_BASE
             * (2.0 ** min(rnd.attempt, 4))
-            * self._rng.uniform(0.8, 1.2)
+            * self._uniform(0.8, 1.2)
         )
         self._retries[zone_id].restart(delay)
 
@@ -355,9 +347,7 @@ class ElectionCoordinator:
     def _clear_round(self, zone_id: int) -> None:
         self._rounds.pop(zone_id, None)
         for table in (self._resolvers, self._confirms, self._retries):
-            timer = table.get(zone_id)
-            if timer is not None:
-                timer.cancel()
+            table.cancel(zone_id)
 
     # ------------------------------------------------------- belief tracking
 
@@ -365,7 +355,7 @@ class ElectionCoordinator:
         """Called after any ZCR-belief mutation (takeover adoption or
         session gossip): settle rounds, measure failover, re-arm the
         detector."""
-        if zone_id not in self._detectors:
+        if zone_id not in self.electable:
             return
         belief = self.session.zcr_ids.get(zone_id)
         changed = belief != self._last_belief.get(zone_id)

@@ -48,7 +48,7 @@ class SharqfecReceiver(SharqfecEndpoint):
         self._ldp_timers: Dict[int, Timer] = {}
         self._request_timers: Dict[int, Timer] = {}
         self._suppressed_fires: Dict[int, int] = {}
-        self._request_rng = self.clock.rng.stream(f"sharqfec.request.{self.node_id}")
+        self._request_rng = None  # built on the first draw
         self.nacks_sent = 0
         self.data_received = 0
         # §7 future work: adaptive request-timer constants.  Reuses the SRM
@@ -183,11 +183,14 @@ class SharqfecReceiver(SharqfecEndpoint):
 
     def _request_delay(self, state: GroupState) -> float:
         distance = self.session.source_one_way(self.source_id)
+        rng = self._request_rng
+        if rng is None:
+            rng = self._request_rng = self.clock.rng.stream(f"sharqfec.request.{self.node_id}")
         if self.config.adaptive_timers:
             lo, hi = self._adaptive_request.window(distance)
             i = min(max(state.backoff_i, 1), MAX_BACKOFF_EXPONENT)
-            return (2.0 ** i) * self._request_rng.uniform(lo, hi)
-        return request_delay(self._request_rng, distance, state.backoff_i)
+            return (2.0 ** i) * rng.uniform(lo, hi)
+        return request_delay(rng, distance, state.backoff_i)
 
     def _is_stuck_authority(self, state: GroupState, zone_id: int) -> bool:
         """True when we are ``zone_id``'s repair authority but cannot serve

@@ -64,7 +64,7 @@ class SessionManager:
         self.zcr_epoch: Dict[int, int] = {}
         self._timer = Timer(clock, self._on_session_timer, name=f"session@{node_id}")
         self._messages_sent = 0
-        self._rng = clock.rng.stream(f"session.{node_id}")
+        self._rng = None  # built on the first draw
         self.messages_received = 0
         # Invoked with a zone_id whenever gossip changes our ZCR belief for
         # that zone; the election machinery uses it to keep its timers and
@@ -122,7 +122,10 @@ class SessionManager:
             lo, hi = SESSION_FAST_INTERVAL
         else:
             lo, hi = SESSION_INTERVAL
-        return self._rng.uniform(lo, hi)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.clock.rng.stream(f"session.{self.node_id}")
+        return rng.uniform(lo, hi)
 
     def _on_session_timer(self) -> None:
         # Departed members age out of our echo lists (§5's entries carry

@@ -36,7 +36,7 @@ from repro.core.config import (
 from repro.core.election import ElectionCoordinator
 from repro.core.pdus import ZcrChallengePdu, ZcrElectPdu, ZcrResponsePdu, ZcrTakeoverPdu
 from repro.core.session import SessionManager
-from repro.sim.timers import Timer
+from repro.sim.timers import TimerTable
 
 
 class ZcrElection:
@@ -48,11 +48,14 @@ class ZcrElection:
         self.clock = session.clock
         self.transport = session.transport
         self.channels = session.channels
-        self._rng = self.clock.rng.stream(f"zcr.{self.node_id}")
-        # Per non-root chain zone:
-        self._challenge_timers: Dict[int, Timer] = {}
-        self._watchdog_timers: Dict[int, Timer] = {}
-        self._takeover_timers: Dict[int, Timer] = {}
+        self._rng = None  # built on the first draw
+        # The non-root chain zones, in chain order; each has three timers,
+        # built when first armed.
+        self.electable: Tuple[int, ...] = tuple(zone.zone_id for zone in session.chain[:-1])
+        clock, node = self.clock, self.node_id
+        self._challenge_timers = TimerTable(clock, self._on_challenge_timer, f"zcrchal@{node}")
+        self._watchdog_timers = TimerTable(clock, self._on_watchdog, f"zcrdog@{node}")
+        self._takeover_timers = TimerTable(clock, self._send_takeover, f"zcrtake@{node}")
         # (zone_id, challenger) -> time we heard (or sent) the challenge
         self._pending: Dict[Tuple[int, int], float] = {}
         # zone_id -> challenges sent while ZCR (first few run on a fast
@@ -70,17 +73,6 @@ class ZcrElection:
         # localZCR→parentZCR distance re-derives our distance, so a stale
         # measurement can be re-evaluated the moment that distance refreshes.
         self._raw_measure: Dict[int, float] = {}
-        for zone in session.chain[:-1]:
-            zid = zone.zone_id
-            self._challenge_timers[zid] = Timer(
-                self.clock, lambda z=zid: self._on_challenge_timer(z), name=f"zcrchal@{self.node_id}/{zid}"
-            )
-            self._watchdog_timers[zid] = Timer(
-                self.clock, lambda z=zid: self._on_watchdog(z), name=f"zcrdog@{self.node_id}/{zid}"
-            )
-            self._takeover_timers[zid] = Timer(
-                self.clock, lambda z=zid: self._send_takeover(z), name=f"zcrtake@{self.node_id}/{zid}"
-            )
         session.on_zcr_change = self._on_belief_change
         # The explicit election layer: failure detection from session
         # silence plus deterministic election rounds (repro.core.election).
@@ -101,13 +93,13 @@ class ZcrElection:
         the appropriate timer: a challenge schedule at the ZCR itself, a
         watchdog elsewhere.
         """
-        for zid in self._watchdog_timers:
+        for zid in self.electable:
             if self.session.is_zcr(zid):
                 self._challenges_sent[zid] = 0
-                self._challenge_timers[zid].restart(self._rng.uniform(0.8, 1.2))
+                self._challenge_timers[zid].restart(self._uniform(0.8, 1.2))
             elif self.session.zcr_ids.get(zid) is None:
                 # No representative yet: bootstrap briskly.
-                self._watchdog_timers[zid].restart(self._rng.uniform(0.5, 1.5))
+                self._watchdog_timers[zid].restart(self._uniform(0.5, 1.5))
             else:
                 # A (static) ZCR is already known: plain liveness watchdog.
                 self._watchdog_timers[zid].restart(self._watchdog_delay())
@@ -116,8 +108,7 @@ class ZcrElection:
     def stop(self) -> None:
         """Cancel every pending timer."""
         for table in (self._challenge_timers, self._watchdog_timers, self._takeover_timers):
-            for timer in table.values():
-                timer.cancel()
+            table.cancel_all()
         self.coordinator.stop()
 
     def reset(self) -> None:
@@ -136,15 +127,21 @@ class ZcrElection:
         self._raw_measure.clear()
         self.coordinator.reset()
 
+    def _uniform(self, lo: float, hi: float) -> float:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.clock.rng.stream(f"zcr.{self.node_id}")
+        return rng.uniform(lo, hi)
+
     def _challenge_interval(self) -> float:
         lo, hi = ZCR_CHALLENGE_INTERVAL
-        return self._rng.uniform(lo, hi)
+        return self._uniform(lo, hi)
 
     def _watchdog_delay(self) -> float:
         lo, hi = ZCR_CHALLENGE_INTERVAL
-        base = ZCR_WATCHDOG_FACTOR * self._rng.uniform(lo, hi)
+        base = ZCR_WATCHDOG_FACTOR * self._uniform(lo, hi)
         # Small identity-free jitter so simultaneous expiry is unlikely.
-        return base + self._rng.uniform(0.0, 0.5)
+        return base + self._uniform(0.0, 0.5)
 
     # ----------------------------------------------------------------- timers
 
@@ -154,7 +151,7 @@ class ZcrElection:
             count = self._challenges_sent.get(zone_id, 0) + 1
             self._challenges_sent[zone_id] = count
             if count < 5:
-                self._challenge_timers[zone_id].restart(self._rng.uniform(0.8, 1.2))
+                self._challenge_timers[zone_id].restart(self._uniform(0.8, 1.2))
             else:
                 self._challenge_timers[zone_id].restart(self._challenge_interval())
 
@@ -166,7 +163,7 @@ class ZcrElection:
         if parent_zone is None or self.session.zcr_ids.get(parent_zone) is None:
             # Top-down rule: back off briefly until the parent zone has a
             # ZCR (elections proceed largest scope first, §5).
-            self._watchdog_timers[zone_id].restart(self._rng.uniform(0.5, 1.0))
+            self._watchdog_timers[zone_id].restart(self._uniform(0.5, 1.0))
             return
         if self.session.zcr_ids.get(zone_id) is not None:
             # A known ZCR went silent for a whole watchdog period.
@@ -175,7 +172,7 @@ class ZcrElection:
         if self.session.zcr_ids.get(zone_id) is None:
             # Bootstrap: the challenge may go unanswered (parent ZCR still
             # settling) — retry briskly until the zone has a representative.
-            self._watchdog_timers[zone_id].restart(self._rng.uniform(1.0, 2.0))
+            self._watchdog_timers[zone_id].restart(self._uniform(1.0, 2.0))
         else:
             self._watchdog_timers[zone_id].restart(self._watchdog_delay())
 
@@ -213,9 +210,8 @@ class ZcrElection:
             # We are a member of the challenged zone: note the arrival time
             # and reset the watchdog — the election machinery is alive.
             self._pending[(zone_id, pdu.challenger_id)] = now
-            timer = self._watchdog_timers.get(zone_id)
-            if timer is not None and not self.session.is_zcr(zone_id):
-                timer.restart(self._watchdog_delay())
+            if zone_id in self.electable and not self.session.is_zcr(zone_id):
+                self._watchdog_timers[zone_id].restart(self._watchdog_delay())
             if pdu.challenger_id == self.session.zcr_ids.get(zone_id):
                 self._suspect_dead.discard(zone_id)
                 self.coordinator.note_alive(zone_id)
@@ -280,21 +276,18 @@ class ZcrElection:
         through gossip would hold the role with a dead challenge timer and
         the zone would fall silent until a full watchdog period.
         """
-        if zone_id not in self._challenge_timers:
+        if zone_id not in self.electable:
             return
-        challenge = self._challenge_timers[zone_id]
-        watchdog = self._watchdog_timers[zone_id]
         if self.session.is_zcr(zone_id):
-            watchdog.cancel()
-            if not challenge.running:
-                self._challenges_sent[zone_id] = 0
-                challenge.restart(self._rng.uniform(0.8, 1.2))
+            self._hold(zone_id)
         else:
             # A running challenge timer marks us as the previous incumbent:
             # gossip just deposed us (the split-brain merge case when a
             # heal lets a higher-epoch rival's state cross the old cut).
-            deposed = challenge.running
-            challenge.cancel()
+            challenge = self._challenge_timers.get(zone_id)
+            deposed = challenge is not None and challenge.running
+            self._challenge_timers.cancel(zone_id)
+            watchdog = self._watchdog_timers[zone_id]
             if not watchdog.running:
                 watchdog.restart(self._watchdog_delay())
             if deposed:
@@ -305,6 +298,17 @@ class ZcrElection:
                     )
             self.reconsider(zone_id)
         self.coordinator.on_belief_sync(zone_id)
+
+    def _hold(self, zone_id: int) -> None:
+        """We hold ``zone_id``: stop watching it, and start challenging
+        unless already.  Early challenges come quickly: a fresh (possibly
+        bootstrap) ZCR invites closer members to usurp without waiting a
+        full steady-state interval."""
+        self._watchdog_timers.cancel(zone_id)
+        challenge = self._challenge_timers[zone_id]
+        if not challenge.running:
+            self._challenges_sent[zone_id] = 0
+            challenge.restart(self._uniform(0.8, 1.2))
 
     def reconsider(self, zone_id: int) -> None:
         """Re-derive our distance after the localZCR→parentZCR RTT changed."""
@@ -333,7 +337,7 @@ class ZcrElection:
             incumbent_rtt is not None and 2.0 * dist < incumbent_rtt - 2.0 * margin
         ):
             # Suppression: closer candidates bid sooner.
-            delay = 2.0 * dist + self._rng.uniform(0.0, 0.01)
+            delay = 2.0 * dist + self._uniform(0.0, 0.01)
             self._takeover_timers[zone_id].restart(delay)
 
     # -------------------------------------------------------------- elections
@@ -370,9 +374,8 @@ class ZcrElection:
         self.session.zcr_ids[zone_id] = None
         self.session.zcr_parent_rtt.pop(zone_id, None)
         self._suspect_dead.discard(zone_id)
-        watchdog = self._watchdog_timers.get(zone_id)
-        if watchdog is not None:
-            watchdog.restart(self._rng.uniform(0.5, 1.5))
+        if zone_id in self.electable:
+            self._watchdog_timers[zone_id].restart(self._uniform(0.5, 1.5))
 
     # --------------------------------------------------------------- takeover
 
@@ -477,22 +480,13 @@ class ZcrElection:
         self.session.zcr_parent_rtt[zone_id] = 2.0 * dist
         if epoch is not None and epoch > self.session.zcr_epoch.get(zone_id, 0):
             self.session.zcr_epoch[zone_id] = epoch
-        challenge = self._challenge_timers.get(zone_id)
-        watchdog = self._watchdog_timers.get(zone_id)
-        if new_zcr == self.node_id:
-            if watchdog is not None:
-                watchdog.cancel()
-            if challenge is not None and not challenge.running:
-                # Early challenges come quickly: a fresh (possibly bootstrap)
-                # ZCR invites closer members to usurp without waiting a full
-                # steady-state interval.
-                self._challenges_sent[zone_id] = 0
-                challenge.restart(self._rng.uniform(0.8, 1.2))
-        else:
-            if was_me and challenge is not None:
-                challenge.cancel()
-            if watchdog is not None:
-                watchdog.restart(self._watchdog_delay())
+        if zone_id in self.electable:
+            if new_zcr == self.node_id:
+                self._hold(zone_id)
+            else:
+                if was_me:
+                    self._challenge_timers.cancel(zone_id)
+                self._watchdog_timers[zone_id].restart(self._watchdog_delay())
         if was_me and new_zcr != self.node_id:
             # Adopted a rival claim that displaced us (handle_takeover
             # already reasserted if we were strictly closer, so this

@@ -122,7 +122,7 @@ class LogicalShardRunner:
         observer = self.world.observer
         protocol.stop()
         observer.detach()
-        return ShardResult(
+        result = ShardResult(
             index=self.shard.index,
             key=self.shard.key,
             source=protocol.source_id,
@@ -147,6 +147,8 @@ class LogicalShardRunner:
             registry=observer.registry.snapshot(),
             trace=[trace_record_to_dict(r) for r in observer.trace_records],
         )
+        self.world.network.drop_caches()
+        return result
 
 
 @dataclass

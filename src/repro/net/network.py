@@ -315,6 +315,15 @@ class Network:
 
     def _invalidate(self) -> None:
         self._topology_version += 1
+        self.drop_caches()
+
+    def drop_caches(self) -> None:
+        """Forget every compiled tree, delivery index and routing table.
+
+        Each is rebuilt on demand by the next packet that needs it, as after
+        a topology change; a finished run calls this so its trees go by
+        reference count rather than wait for the cyclic collector.
+        """
         self._sched_cache.clear()
         self._routing_cache.clear()
         self._index_cache.clear()

@@ -7,7 +7,8 @@ event-cancellation dance into start/restart/cancel semantics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
 
 from repro.sim.events import Event
 
@@ -91,3 +92,35 @@ class Timer:
         if self.running:
             return f"<Timer {self.name!r} expires@{self.expires_at:.6f}>"
         return f"<Timer {self.name!r} idle>"
+
+
+class TimerTable(dict):
+    """Per-key timers, each built on its first ``table[key]``.
+
+    The callback receives the key.  A key whose timer is never armed costs
+    nothing, so lookups that only cancel or test ``running`` use ``get``
+    (or :meth:`cancel`) and build nothing.
+    """
+
+    __slots__ = ("_clock", "_callback", "_name")
+
+    def __init__(self, clock: "Clock", callback: Callable[[Any], Any], name: str = "") -> None:
+        super().__init__()
+        self._clock = clock
+        self._callback = callback
+        self._name = name
+
+    def __missing__(self, key: Hashable) -> Timer:
+        timer = self[key] = Timer(self._clock, partial(self._callback, key), self._name)
+        return timer
+
+    def cancel(self, key: Hashable) -> None:
+        """Disarm ``key``'s timer if it was ever built."""
+        timer = self.get(key)
+        if timer is not None:
+            timer.cancel()
+
+    def cancel_all(self) -> None:
+        """Disarm every built timer."""
+        for timer in self.values():
+            timer.cancel()

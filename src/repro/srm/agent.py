@@ -86,7 +86,7 @@ class SrmAgent:
         self._repairs_sent_for: Set[int] = set()
         self._session_timer = Timer(clock, self._on_session_timer, name=f"srmsess@{node_id}")
         self._sessions_sent = 0
-        self._rng = clock.rng.stream(f"srm.{node_id}")
+        self._rng = None  # built on the first draw
         self.nacks_sent = 0
         self.repairs_sent = 0
         self.data_received = 0
@@ -219,6 +219,12 @@ class SrmAgent:
 
     # --------------------------------------------------------------- requests
 
+    def _uniform(self, lo: float, hi: float) -> float:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.clock.rng.stream(f"srm.{self.node_id}")
+        return rng.uniform(lo, hi)
+
     def _source_distance(self) -> float:
         d = self.rtt.one_way(self.source_id)
         return d if d is not None else DEFAULT_DISTANCE
@@ -226,7 +232,7 @@ class SrmAgent:
     def _request_delay(self, loss: _LossState) -> float:
         lo, hi = self.request_timer_state.window(self._source_distance())
         scale = 2.0 ** min(loss.backoff, MAX_BACKOFF_EXPONENT)
-        return scale * self._rng.uniform(lo, hi)
+        return scale * self._uniform(lo, hi)
 
     def _on_request_timer(self, seq: int) -> None:
         loss = self.losses.get(seq)
@@ -268,7 +274,7 @@ class SrmAgent:
         if distance is None:
             distance = DEFAULT_DISTANCE
         lo, hi = self.reply_timer_state.window(distance)
-        timer.restart(self._rng.uniform(lo, hi))
+        timer.restart(self._uniform(lo, hi))
 
     # ---------------------------------------------------------------- repairs
 
@@ -301,7 +307,7 @@ class SrmAgent:
             lo, hi = SESSION_FAST_INTERVAL
         else:
             lo, hi = SESSION_INTERVAL
-        return self._rng.uniform(lo, hi)
+        return self._uniform(lo, hi)
 
     def _on_session_timer(self) -> None:
         now = self.clock.now

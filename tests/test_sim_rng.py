@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim.rng import RngRegistry
+from repro.testing import property_max_examples
 
 
 def test_same_seed_same_draws():
@@ -61,3 +65,24 @@ def test_fork_is_deterministic_and_distinct():
     assert f1.stream("x").random() == f1_again.stream("x").random()
     assert f1.seed != f2.seed
     assert f1.seed != reg.seed
+
+
+@settings(max_examples=property_max_examples(100), deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    names=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6, unique=True),
+    schedule=st.lists(st.integers(0, 5), max_size=60),
+)
+def test_creating_a_stream_later_changes_no_draw(seed, names, schedule):
+    """Agents build their streams at their first draw, not when the world
+    is built.  That is exact only if a stream's draws depend on its name
+    alone: not on which streams exist, in what order they were created,
+    or what was drawn from them in between."""
+    shared = RngRegistry(seed)
+    drawn = {name: [] for name in names}
+    for pick in schedule:
+        name = names[pick % len(names)]
+        drawn[name].append(shared.stream(name).random())
+    for name in names:
+        fresh = RngRegistry(seed).stream(name)
+        assert drawn[name] == [fresh.random() for _ in drawn[name]]

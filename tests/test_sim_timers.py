@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.scheduler import Simulator
-from repro.sim.timers import Timer, TimerError
+from repro.sim.timers import Timer, TimerError, TimerTable
 
 
 def test_timer_fires_once():
@@ -78,3 +78,19 @@ def test_timer_can_rearm_itself_from_callback():
     timer.start(1.0)
     sim.run()
     assert fired == [1.0, 2.0, 3.0]
+
+
+def test_timer_table_builds_a_timer_on_first_index_only():
+    sim = Simulator()
+    fired = []
+    table = TimerTable(sim, lambda key: fired.append((key, sim.now)), name="tbl")
+    table.cancel("a")
+    table.cancel_all()
+    assert table.get("a") is None and len(table) == 0
+    table["a"].start(1.0)
+    table["b"].restart(2.0)
+    assert table["a"] is table["a"] and table["a"].name == "tbl"
+    table.cancel("b")
+    sim.run()
+    assert fired == [("a", 1.0)]
+    assert sorted(table) == ["a", "b"]
