@@ -11,6 +11,12 @@ invalidates the caches immediately but the snapshot only catches up after
 ``reconvergence_delay`` — so a freshly downed branch blackholes for the
 duration of the delay (as with a real IGP), then traffic reroutes around
 (or prunes) the failed element until it heals and routing reconverges back.
+
+A node's children in a compiled tree are ordered by when the member walk
+in :func:`~repro.net.routing.best_effort_tree` first reaches them, i.e. by
+the iteration order of a copy of the group's members set.  That order
+decides which loss draw each link consumes and how same-time arrivals
+break ties, so every compiled tree must reproduce it exactly.
 """
 
 from __future__ import annotations
@@ -99,6 +105,10 @@ class Network:
         # Injection-side node->record index per (group_id, src), stamped
         # like the schedule cache; used by deliver_remote().
         self._index_cache: Dict[Tuple[int, int], Tuple[int, Dict[int, tuple]]] = {}
+        # Per-group records shared by every source of a tree-shaped scope,
+        # stamped like the schedule cache; None marks a scope that is not a
+        # tree (see _shared_tree).
+        self._zone_cache: Dict[int, Tuple[int, Optional[tuple]]] = {}
         self._in_batch = False
         #: Callbacks invoked (synchronously, in registration order) from
         #: :meth:`topology_changed` — i.e. on every runtime link/node state
@@ -327,6 +337,7 @@ class Network:
         self._sched_cache.clear()
         self._routing_cache.clear()
         self._index_cache.clear()
+        self._zone_cache.clear()
 
     def _structural_change(self) -> None:
         # Builders (add_node/add_link) reshape the topology itself, which
@@ -522,6 +533,11 @@ class Network:
         topology/membership version.  Liveness (node.up) and membership
         (group.subscribers) stay dynamic, so a fault or a leave takes
         effect on packets already in flight.
+
+        When the scope is one tree, a source whose members set iterates in
+        the group's canonical order takes its records from the set every
+        such source shares (:meth:`_shared_tree`); any other source, and
+        every other scope, is compiled from its own shortest-path tree.
         """
         key = (group.group_id, src)
         stamp = group.version + (self._topology_version << 32)
@@ -530,6 +546,15 @@ class Network:
             return cached[1]
         members = set(group.subscribers)
         members.discard(src)
+        shared = self._shared_tree(group, stamp)
+        if (
+            shared is not None
+            and src in shared[0]
+            and list(set(members)) == [m for m in shared[1] if m != src]
+        ):
+            record = self._tree_record(shared, group, None, src)
+            self._sched_cache[key] = (stamp, record)
+            return record
         allowed = group.scope
         try:
             children, unreachable = best_effort_tree(
@@ -553,6 +578,88 @@ class Network:
                 )
         record = self._compile_record(src, group, children)
         self._sched_cache[key] = (stamp, record)
+        return record
+
+    def _shared_tree(self, group: MulticastGroup, stamp: int) -> Optional[tuple]:
+        """``(toward, canonical, memo)`` when the group's scope is one tree.
+
+        In a tree there is one path between two nodes, so every source's
+        shortest-path tree is the same set of directed edges.
+        ``canonical`` is one copy of the members set as a list, and a
+        subscriber's rank is its index there.  ``toward[w]`` holds w's
+        neighbours whose side of the edge holds a subscriber, sorted by the
+        lowest rank on that side: for a source whose member walk follows
+        ``canonical``, those are w's children in the order the walk first
+        reaches them.  ``memo`` keeps each record built, keyed by (node
+        entered from, node).  None when the scope's converged links are
+        not one connected, acyclic, symmetric graph.
+        """
+        cached = self._zone_cache.get(group.group_id)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
+        shared = None
+        adjacency = self._converged_adjacency
+        scope = self.nodes if group.scope is None else group.scope
+        nbrs = {u: [v for v in adjacency[u] if v in scope] for u in scope}
+        if sum(map(len, nbrs.values())) == 2 * (len(nbrs) - 1) and all(
+            u in adjacency[v] for u in nbrs for v in nbrs[u]
+        ):
+            root = next(iter(nbrs))
+            parent: Dict[int, Optional[int]] = {root: None}
+            order = [root]
+            for u in order:
+                for v in nbrs[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        order.append(v)
+            if len(order) == len(nbrs):
+                canonical = list(set(set(group.subscribers)))
+                none = len(canonical)
+                rank = dict(zip(canonical, range(none)))
+                # below[u]: the lowest rank in u's subtree under ``root``.
+                below: Dict[int, int] = {}
+                for u in reversed(order):
+                    below[u] = min(
+                        [rank.get(u, none)]
+                        + [below[v] for v in nbrs[u] if v != parent[u]]
+                    )
+                # side[u][v]: the lowest rank on v's side of the edge u-v.
+                # Rows fill in ``order``, so u's row holds its parent's side
+                # by the time u is reached.  A child v's side towards u is u
+                # itself plus u's other sides, whose lowest is the lower of
+                # u's two lowest sides that is not v's own.
+                side: Dict[int, Dict[int, int]] = {u: {} for u in order}
+                for u in order:
+                    row = side[u]
+                    for v in nbrs[u]:
+                        if v != parent[u]:
+                            row[v] = below[v]
+                    lows = sorted(row.values())[:2] + [none, none]
+                    for v in nbrs[u]:
+                        if v != parent[u]:
+                            other = lows[1] if row[v] == lows[0] else lows[0]
+                            side[v][u] = min(rank.get(u, none), other)
+                toward = {
+                    u: sorted((v for v in row if row[v] < none), key=row.__getitem__)
+                    for u, row in side.items()
+                }
+                shared = (toward, canonical, {})
+        self._zone_cache[group.group_id] = (stamp, shared)
+        return shared
+
+    def _tree_record(
+        self, shared: tuple, group: MulticastGroup, via: Optional[int], node: int
+    ) -> tuple:
+        memo = shared[2]
+        record = memo.get((via, node))
+        if record is None:
+            links = self._links
+            record = (node, self.nodes[node], group, tuple(
+                (links[(node, child)], self._tree_record(shared, group, node, child))
+                for child in shared[0][node]
+                if child != via
+            ))
+            memo[(via, node)] = record
         return record
 
     def _compile_record(

@@ -89,9 +89,7 @@ def best_effort_tree(
         node = member
         while node not in on_tree:
             p = parent[node]
-            kids = children.setdefault(p, [])
-            if node not in kids:
-                kids.append(node)
+            children.setdefault(p, []).append(node)
             on_tree.add(node)
             node = p
     return children, unreachable

@@ -88,8 +88,8 @@ def test_a_finished_shard_drops_its_trees_and_rebuilds_them_on_demand(monkeypatc
     assert len(runners) == 3
     for runner in runners:
         network = runner.world.network
-        assert (network._sched_cache, network._index_cache, network._routing_cache) == (
-            {}, {}, {})
+        assert (network._sched_cache, network._index_cache, network._routing_cache,
+                network._zone_cache) == ({}, {}, {}, {})
     runner = runners[1]
     network = runner.world.network
     src, dst = sorted(runner.world.protocol.receivers)[:2]
@@ -100,3 +100,4 @@ def test_a_finished_shard_drops_its_trees_and_rebuilds_them_on_demand(monkeypatc
     runner.sim.run(until=runner.sim.now + 1.0)
     assert len(got) == 1
     assert (group.group_id, src) in network._sched_cache
+    assert group.group_id in network._zone_cache
