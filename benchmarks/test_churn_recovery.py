@@ -34,11 +34,11 @@ def run(churn: bool, n_packets: int, seed: int):
     )
     stream_len = n_packets * config.inter_packet_interval
     plan = FaultPlan("churn-storm")
+    # One grandchild per tree crash-restarts, outages staggered across the
+    # middle of the stream.  The quiet run keeps the same receivers up.
+    victims = [topo.grandchildren[topo.children[head][0]][0] for head in topo.heads]
     if churn:
-        # One grandchild per tree crash-restarts, outages staggered across
-        # the middle of the stream.
-        for t, head in enumerate(topo.heads):
-            victim = topo.grandchildren[topo.children[head][0]][0]
+        for t, victim in enumerate(victims):
             at = DATA_START + (0.25 + 0.05 * t) * stream_len
             plan.crash_restart(at, victim, down_for=0.1 * stream_len)
         FaultInjector(topo.network, plan, protocol=proto).arm()
@@ -51,7 +51,8 @@ def run(churn: bool, n_packets: int, seed: int):
             proto, heal_deadline(topo.network, plan, bound=stream_len + 35.0)
         )
     sender_repairs = sum(g.repairs_sent for g in proto.sender.groups.values())
-    return proto.total_nacks_sent(), sender_repairs
+    victim_nacks = sum(proto.receivers[v].nacks_sent for v in victims)
+    return proto.total_nacks_sent(), sender_repairs, victim_nacks
 
 
 def test_churn_storm_recovery_cost(benchmark, n_packets, seed):
@@ -60,8 +61,13 @@ def test_churn_storm_recovery_cost(benchmark, n_packets, seed):
         rounds=1, iterations=1,
     )
     print()
-    for name, (nacks, repairs) in (("churn-storm", churned), ("quiet", quiet)):
-        print(f"  {name:11s}: nacks={nacks:5d} sender_repairs={repairs:5d}")
-    # Churn must cost extra recovery work — otherwise the storm was a no-op
-    # and the bench measures nothing.
-    assert churned[0] > quiet[0]
+    for name, (nacks, repairs, victim_nacks) in (("churn-storm", churned), ("quiet", quiet)):
+        print(f"  {name:11s}: nacks={nacks:5d} sender_repairs={repairs:5d} "
+              f"churned_receiver_nacks={victim_nacks:4d}")
+    # Churn must cost the churned receivers extra recovery work — otherwise
+    # the storm was a no-op and the bench measures nothing.  The total over
+    # all receivers cannot show it: a crash shifts every later draw of the
+    # shared loss stream, and the other receivers' NACK count moves by up
+    # to a third between two loss patterns, either way (seeds 1-8, 128
+    # packets), against seven receivers' extra NACKs.
+    assert churned[2] > quiet[2]

@@ -75,7 +75,7 @@ class Network:
         self._obs_drop: tuple = ()
         # The simulator never replaces its queue, so the arrival scheduler
         # is bound once rather than looked up per hop.
-        self._push_call = sim.queue.push_call
+        self._push_batch = sim.queue.push_batch
         self._loss_rng = sim.rng.stream("net.loss")
         self._loss_random = self._loss_rng.random
         # Memoized tracer interest flags, refreshed when the tracer's
@@ -673,14 +673,23 @@ class Network:
         return (node, self.nodes[node], group, kids)
 
     def _forward_fast(self, record: tuple, packet: Packet) -> None:
+        """Send ``packet`` on from ``record``'s node to each child.
+
+        Loss, queueing and the shard hand-off are decided per link, here,
+        in child order.  Survivors that arrive at the same instant share one
+        heap entry (``EventQueue.push_batch``), pushed at the first of them,
+        and :meth:`_arrive_fast` takes them one by one in child order, as
+        one entry per child would.
+        """
         kids = record[3]
         if not kids:
             return
         now = self.sim.now
         size = packet.size_bytes
         obs_drop = self._obs_drop
-        push_call = self._push_call
+        push_batch = self._push_batch
         arrive = self._arrive_fast
+        batches: Dict[float, list] = {}
         loss_random = self._loss_random
         exempt = packet.loss_exempt
         plain = self.loss_oracle is None
@@ -733,7 +742,12 @@ class Network:
                 # off for remote injection at its arrival time.
                 boundary(arrival, child_record[0], packet)
                 continue
-            push_call(arrival, arrive, (packet, child_record))
+            batch = batches.get(arrival)
+            if batch is None:
+                batches[arrival] = batch = [child_record]
+                push_batch(arrival, arrive, packet, batch)
+            else:
+                batch.append(child_record)
 
     def _arrive_fast(self, packet: Packet, record: tuple) -> None:
         node_id, node, group, kids = record

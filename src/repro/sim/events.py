@@ -21,11 +21,21 @@ Performance notes (the event core is the simulator's hottest loop):
   allocation, no eager removal), which is what :class:`repro.sim.timers.
   Timer` uses for its restart-heavy suppression dance.
 * ``push_call`` schedules a fire-and-forget callback with *no* Event
-  handle at all — the heap entry is ``(time, seq, callback, args)``.  The
-  forwarding engine uses it for packet arrivals (the bulk of all events),
-  which are never cancelled, so the per-hop Event allocation disappears.
-  Entry kinds coexist safely: tuple comparison never reaches the third
+  handle at all — the heap entry is ``(time, seq, callback, args)``.
+  ``Simulator.call_at`` and the sharded engine's cross-shard injections use
+  it.  Entry kinds coexist safely: tuple comparison never reaches the third
   element because ``seq`` is globally unique.
+* ``push_batch`` carries packet arrivals (the bulk of all events), which
+  are never cancelled either.  The children one multicast hop reaches at
+  the same instant share one heap entry ``(time, seq, callback, first,
+  items)`` and one sequence number, and fire as ``callback(first, item)``
+  in item order.  That is the order one entry per child would give, because
+  same-time entries pushed by one loop take consecutive sequence numbers, so
+  nothing else can fire between them.  Each item is still one event:
+  ``Simulator.events_fired``, ``max_events``, ``stop()`` and ``step()`` all
+  work per item, and an interrupted batch goes back on the heap under its
+  own ``(time, seq)``.  ``len(queue)`` counts heap entries, so a pending
+  batch counts once.
 """
 
 from __future__ import annotations
@@ -124,6 +134,20 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, callback, args))
         self._live += 1
 
+    def push_batch(
+        self, time: float, callback: Callable[..., Any], first: Any, items: list
+    ) -> None:
+        """Schedule ``callback(first, item)`` for each item as one heap entry.
+
+        The entry takes one sequence number, and its items fire in list
+        order as consecutive events.  ``items`` may still be appended to
+        until the entry fires, so a caller can push at its first item.
+        """
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, callback, first, items))
+        self._live += 1
+
     def reschedule(self, event: Event, time: float) -> Event:
         """Re-arm a still-pending event at a new absolute ``time``.
 
@@ -182,15 +206,16 @@ class EventQueue:
     def _compact(self) -> None:
         """Sweep tombstones: rebuild the heap from live entries only.
 
-        Handle-free ``push_call`` entries (length 4) are always live.  The
-        list is refilled in place: ``Simulator.run`` holds a reference to it
-        while a callback may be cancelling (and so compacting).
+        Handle-free ``push_call`` and ``push_batch`` entries (length 4 and
+        5) are always live.  The list is refilled in place:
+        ``Simulator.run`` holds a reference to it while a callback may be
+        cancelling (and so compacting).
         """
         heap = self._heap
         heap[:] = [
             entry
             for entry in heap
-            if len(entry) == 4
+            if len(entry) != 3
             or (entry[2].seq == entry[1] and not entry[2].cancelled)
         ]
         heapq.heapify(heap)
@@ -200,7 +225,9 @@ class EventQueue:
         """Remove and return the next live event, or ``None`` if empty.
 
         Handle-free entries are wrapped in an already-fired Event so
-        single-stepping callers see a uniform interface.
+        single-stepping callers see a uniform interface.  A batch yields its
+        first item, and the rest of it goes back under the same
+        ``(time, seq)``, still ahead of everything else.
         """
         heap = self._heap
         while heap:
@@ -210,8 +237,15 @@ class EventQueue:
                 if event.seq != seq or event.cancelled:
                     self._dead -= 1
                     continue
-            else:
+            elif len(entry) == 4:
                 event = Event(entry[0], entry[1], entry[2], entry[3])
+            else:
+                time, seq, callback, first, items = entry
+                event = Event(time, seq, callback, (first, items[0]))
+                if len(items) > 1:
+                    # The rest stays one live entry.
+                    heapq.heappush(heap, (time, seq, callback, first, items[1:]))
+                    self._live += 1
             event.fired = True
             self._live -= 1
             return event
@@ -222,7 +256,7 @@ class EventQueue:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if len(entry) == 4 or (
+            if len(entry) != 3 or (
                 entry[2].seq == entry[1] and not entry[2].cancelled
             ):
                 return entry[0]

@@ -8,7 +8,7 @@ in time order until the horizon or until the queue empties.
 from __future__ import annotations
 
 import math
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
@@ -38,12 +38,21 @@ class Simulator:
 
     @property
     def events_fired(self) -> int:
-        """Number of events executed so far (diagnostics / perf tests)."""
+        """Number of events executed so far (diagnostics / perf tests).
+
+        One event is one callback fired: a timer, a scheduled call, or one
+        packet's arrival at one node.  The children of a multicast hop that
+        share a heap entry (``EventQueue.push_batch``) count one each.
+        """
         return self._events_fired
 
     @property
     def pending(self) -> int:
-        """Number of live events still queued."""
+        """Number of live heap entries still queued.
+
+        A pending batch of same-instant arrivals counts once, however many
+        events it will fire.
+        """
         return len(self._queue)
 
     @property
@@ -125,6 +134,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         fired = 0
+        limit = math.inf if max_events is None else max_events
         # The simulator's hottest loop pops the queue's heap itself, under
         # EventQueue.pop's liveness rules and live/dead accounting.
         # Compaction refills the heap list in place, so this reference stays
@@ -135,14 +145,7 @@ class Simulator:
         try:
             while heap and not self._stopped:
                 entry = heap[0]
-                if len(entry) == 4:
-                    if entry[0] > horizon:
-                        break
-                    heappop(heap)
-                    queue._live -= 1
-                    self.now = entry[0]
-                    entry[2](*entry[3])
-                else:
+                if len(entry) == 3:
                     time, seq, event = entry
                     if event.seq != seq or event.cancelled:
                         heappop(heap)
@@ -155,8 +158,35 @@ class Simulator:
                     queue._live -= 1
                     self.now = time
                     event.callback(*event.args)
-                fired += 1
-                if max_events is not None and fired >= max_events:
+                    fired += 1
+                else:
+                    time = entry[0]
+                    if time > horizon:
+                        break
+                    heappop(heap)
+                    queue._live -= 1
+                    self.now = time
+                    if len(entry) == 4:
+                        entry[2](*entry[3])
+                        fired += 1
+                    else:
+                        # A batch fires one event per item.  If it is cut
+                        # short, its rest goes back under the same
+                        # (time, seq), still ahead of everything else.
+                        _, seq, callback, first, items = entry
+                        done = 0
+                        try:
+                            for item in items:
+                                done += 1
+                                callback(first, item)
+                                fired += 1
+                                if self._stopped or fired >= limit:
+                                    break
+                        finally:
+                            if done < len(items):
+                                heappush(heap, (time, seq, callback, first, items[done:]))
+                                queue._live += 1
+                if fired >= limit:
                     self._events_fired += fired
                     fired = 0
                     raise SimulationError(f"exceeded max_events={max_events}")
@@ -168,11 +198,18 @@ class Simulator:
             self._running = False
 
     def stop(self) -> None:
-        """Request that ``run()`` return after the current event."""
+        """Request that ``run()`` return after the current event.
+
+        Called from one item of a batch, the run returns after that item
+        and the rest stay queued.
+        """
         self._stopped = True
 
     def step(self) -> bool:
-        """Fire exactly one event.  Returns False if the queue was empty."""
+        """Fire exactly one event (one item of a batch).
+
+        Returns False if the queue was empty.
+        """
         event = self._queue.pop()
         if event is None:
             return False

@@ -98,6 +98,7 @@ def test_compaction_preserves_pop_order():
     q = EventQueue()
     fired = []
     keepers = []
+    q.push_batch(150.5, lambda _, item: fired.append(item), None, ["b1", "b2"])
     for i in range(300):
         event = q.push(float(i), fired.append, (i,))
         if i % 3 == 0:
@@ -106,11 +107,12 @@ def test_compaction_preserves_pop_order():
             q.cancel(event)
     while q:
         q.pop().fire()
-    assert fired == keepers
+    assert fired == [k for k in keepers if k <= 150] + ["b1", "b2"] + [k for k in keepers if k > 150]
 
 
 def test_same_time_ordering_across_entry_kinds():
-    """push, push_call, reschedule and rearm share one tie-break sequence."""
+    """push, push_call, push_batch, reschedule and rearm share one
+    tie-break sequence; a batch's items fire together at its place."""
     q = EventQueue()
     fired = []
     q.push(1.0, fired.append, ("push-0",))
@@ -118,9 +120,11 @@ def test_same_time_ordering_across_entry_kinds():
     moved = q.push(0.5, fired.append, ("resched-2",))
     q.reschedule(moved, 1.0)  # consumes seq 3: fires after call-1
     q.push_call(1.0, fired.append, ("call-3",))
+    q.push_batch(1.0, lambda tag, item: fired.append(f"{tag}{item}"), "batch-4", ["a", "b"])
+    q.push(1.0, fired.append, ("push-5",))
     while q:
         q.pop().fire()
-    assert fired == ["push-0", "call-1", "resched-2", "call-3"]
+    assert fired == ["push-0", "call-1", "resched-2", "call-3", "batch-4a", "batch-4b", "push-5"]
 
 
 def test_reschedule_rejects_fired_and_cancelled_events():
@@ -385,6 +389,126 @@ def test_compiled_forwarding_matches_reference_walk(monkeypatch):
         assert any(category == proof for _, _, category in trace), case
         if case == "loss_exempt":  # the exempt half reached every receiver
             assert len(deliveries) > 30 * len(series)
+
+
+#: Fan-out case -> what the handler at node 1, the first child of the
+#: source, does on its first delivery (or how the links are set up).
+FANOUT_CASES = (
+    "interleaved",
+    "zero_delay",
+    "unsubscribe",
+    "crash",
+    "trace",
+    "drop_tail",
+    "gilbert_elliott",
+)
+
+
+def _fanout(case: str, seed: int = 3):
+    """A star whose first child fans out again; returns the ordered log.
+
+    Source 0's children are 1, 2, 3 and 4 in that order, and 1's are 5 and
+    6.  Links to 1, 3 and 4 have one latency and the link to 2 another, so
+    one hop reaches 1, 3 and 4 at one instant and 2 at another: same-time
+    siblings that are not next to each other in child order.
+    """
+    sim = Simulator(seed=seed)
+    net = Network(sim)
+    for node in range(7):
+        net.add_node(node_id=node)
+    # Loss only into 4, 5 and 6, so every packet reaches 1, 2 and 3.
+    for child, latency, loss in ((1, 0.010, 0.0), (2, 0.020, 0.0), (3, 0.010, 0.0), (4, 0.010, 0.2)):
+        net.add_link(0, child, 1e8, latency, loss_rate=loss)
+    for child in (5, 6):
+        net.add_link(1, child, 1e8, 0.005, loss_rate=0.2)
+    group = net.create_group("fanout")
+    log = []
+
+    def handler(node):
+        def on_packet(pkt):
+            log.append((sim.now, node, "deliver", pkt.uid))
+            if node != 1 or len([e for e in log if e[1] == 1]) > 1:
+                return
+            if case == "zero_delay":
+                sim.schedule(0.0, lambda: log.append((sim.now, None, "call", pkt.uid)))
+            elif case == "unsubscribe":
+                net.unsubscribe(group.group_id, 3, handlers[3])
+            elif case == "crash":
+                net.set_node_up(3, False)
+            elif case == "trace":
+                sim.tracer.subscribe(
+                    "pkt.recv", lambda rec: log.append((rec.time, rec.node, "recv", rec.detail.uid))
+                )
+        return on_packet
+
+    handlers = {node: handler(node) for node in range(1, 7)}
+    for node, on_packet in handlers.items():
+        net.subscribe(group.group_id, node, on_packet)
+    for category in ("pkt.drop", "pkt.qdrop", "pkt.nodedrop"):
+        sim.tracer.subscribe(
+            category, lambda rec: log.append((rec.time, rec.node, rec.category, rec.detail.uid))
+        )
+    burst = 1
+    if case == "drop_tail":
+        # Three back-to-back packets into 1 Mbit links that buffer two, one
+        # link already backlogged: siblings split and rejoin instants.
+        burst = 3
+        for child in (1, 2, 3, 4):
+            net.link(0, child).bandwidth_bps = 1e6
+            net.link(0, child).queue_limit = 2
+        net.link(0, 3).busy_until = 0.004
+    elif case == "gilbert_elliott":
+        net.set_loss_model(
+            0, 3,
+            GilbertElliott(0.3, 0.4, loss_good=0.05, loss_bad=0.9, slot_s=0.004,
+                           state_rng=sim.rng.stream("ge.state"),
+                           packet_rng=sim.rng.stream("ge.packet")),
+        )
+
+    def send() -> None:
+        net.multicast(0, Packet("DATA", 0, group.group_id, 1000))
+
+    for i in range(40):
+        sim.at((i // burst) * 0.004, send)
+    sim.run()
+    base = min(uid for *_, uid in log)
+    return [entry[:3] + (entry[3] - base,) for entry in log], sim.events_fired
+
+
+@pytest.mark.parametrize("case", FANOUT_CASES)
+def test_same_time_siblings_match_one_event_per_child(case, monkeypatch):
+    """Same-instant children of one hop share a heap entry yet must replay
+    the per-child oracle: same deliveries at the same times in the same
+    order, every handler side effect seen by the later siblings, and one
+    event per child delivered."""
+    fast = _fanout(case)
+    with monkeypatch.context() as patch:
+        patch.setattr(Network, "multicast", reference_multicast)
+        reference = _fanout(case)
+    assert fast == reference
+    log, events = fast
+    assert events > 40
+    first = [entry for entry in log if entry[3] == 0]
+    nodes = [entry[1] for entry in first if entry[2] == "deliver"]
+    if case == "interleaved":
+        assert [n for n in nodes if n in (1, 2, 3)] == [1, 3, 2]
+    elif case == "zero_delay":
+        # The zero-delay call fires after the last same-time sibling.
+        t1 = next(e[0] for e in first if e[1] == 1)
+        same = [i for i, e in enumerate(first) if e[0] == t1 and e[2] == "deliver"]
+        call = [i for i, e in enumerate(first) if e[2] == "call"]
+        assert len(same) >= 2 and call == [max(same) + 1]
+    elif case == "unsubscribe":
+        assert 3 not in nodes and 2 in nodes
+    elif case == "crash":
+        assert 3 not in nodes and (3, "pkt.nodedrop") in [e[1:3] for e in first]
+    elif case == "trace":
+        recv = [entry[1] for entry in first if entry[2] == "recv"]
+        assert recv[0] == 3 and 1 not in recv
+    elif case == "drop_tail":
+        assert any(entry[2] == "pkt.qdrop" for entry in log)
+    elif case == "gilbert_elliott":
+        assert any(entry[1:3] == (3, "pkt.drop") for entry in log)
 
 
 # ------------------------------------------------------------ codec default

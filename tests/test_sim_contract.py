@@ -188,3 +188,121 @@ def test_max_events_safety_valve():
     with pytest.raises(SimulationError):
         sim.run(max_events=100)
     assert sim.events_fired == 100
+
+
+# ------------------------------------------------- batches of same-time events
+#
+# A multicast hop pushes the children it reaches at one instant as one heap
+# entry (``EventQueue.push_batch``).  The contract stays at child
+# granularity: each item is one event for ``events_fired``, ``max_events``,
+# ``stop()`` and ``step()``; only ``pending`` counts the entry once.
+
+
+def _batch(sim, log, items, stop_at=None):
+    """Push ``items`` as one batch at t=1; the ``stop_at`` item schedules a
+    zero-delay call and stops the run."""
+
+    def fire(tag, item):
+        log.append((sim.now, tag, item))
+        if item == stop_at:
+            sim.schedule(0.0, lambda: log.append((sim.now, "zero", None)))
+            sim.stop()
+
+    sim.queue.push_batch(1.0, fire, "batch", list(items))
+
+
+def test_batch_is_one_pending_entry_of_several_events():
+    sim = Simulator()
+    log = []
+    _batch(sim, log, "abc")
+    assert sim.pending == 1
+    sim.run()
+    assert log == [(1.0, "batch", "a"), (1.0, "batch", "b"), (1.0, "batch", "c")]
+    assert sim.events_fired == 3
+    assert sim.pending == 0
+
+
+def test_stop_inside_a_batch_returns_after_that_item():
+    """The rest of the batch keeps the popped entry's (time, seq): it stays
+    ahead of a same-time event scheduled after the batch, and of the
+    zero-delay call the stopping item scheduled."""
+    sim = Simulator()
+    log = []
+    _batch(sim, log, "abcd", stop_at="b")
+    sim.at(1.0, lambda: log.append((sim.now, "later", None)))
+    assert sim.run() == 1.0
+    assert [entry[2] for entry in log] == ["a", "b"]
+    assert sim.events_fired == 2
+    assert sim.pending == 3  # the rest of the batch, "later" and "zero"
+    sim.run()
+    assert log[2:] == [
+        (1.0, "batch", "c"), (1.0, "batch", "d"), (1.0, "later", None), (1.0, "zero", None)
+    ]
+    assert sim.events_fired == 6
+
+
+def test_stop_on_the_last_item_leaves_nothing_behind():
+    sim = Simulator()
+    log = []
+    _batch(sim, log, "ab", stop_at="b")
+    sim.run()
+    assert sim.pending == 1 and sim.events_fired == 2  # only the zero-delay call
+
+
+def test_step_fires_one_item_of_a_batch():
+    sim = Simulator()
+    log = []
+    _batch(sim, log, "abc")
+    sim.at(1.0, lambda: log.append((sim.now, "later", None)))
+    for expected in ("a", "b", "c", None):
+        assert sim.step() is True
+        assert log[-1][2] == expected
+    assert sim.step() is False
+    assert sim.events_fired == 4
+
+
+def test_max_events_raises_at_the_same_item_as_one_entry_per_item():
+    def drive(batched):
+        sim = Simulator()
+        log = []
+        if batched:
+            _batch(sim, log, "abcde")
+        else:
+            for item in "abcde":
+                sim.call_at(1.0, lambda item=item: log.append((sim.now, "batch", item)))
+        sim.at(1.0, lambda: log.append((sim.now, "later", None)))
+        with pytest.raises(SimulationError):
+            sim.run(max_events=3)
+        cut = (list(log), sim.events_fired)
+        sim.run()
+        return cut, log, sim.events_fired
+
+    assert drive(True) == drive(False)
+    (cut, fired), log, total = drive(True)
+    assert [entry[2] for entry in cut] == ["a", "b", "c"] and fired == 3
+    assert [entry[2] for entry in log] == ["a", "b", "c", "d", "e", None] and total == 6
+
+
+def test_a_raising_item_leaves_the_rest_of_its_batch_queued():
+    def drive(batched):
+        sim = Simulator()
+        log = []
+
+        def fire(tag, item):
+            if item == "b":
+                raise RuntimeError(item)
+            log.append(item)
+
+        if batched:
+            sim.queue.push_batch(1.0, fire, "batch", list("abc"))
+        else:
+            for item in "abc":
+                sim.call_at(1.0, fire, "batch", item)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        cut = (list(log), sim.events_fired, sim.pending)
+        sim.run()
+        return cut, log, sim.events_fired
+
+    assert drive(True)[1:] == drive(False)[1:] == (["a", "c"], 2)
+    assert drive(True)[0] == (["a"], 1, 1)
